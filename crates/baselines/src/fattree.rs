@@ -179,14 +179,6 @@ impl FatTree {
     }
 }
 
-/// Cheap deterministic pair mix for the ECMP choice.
-fn mix(a: u64, b: u64) -> u64 {
-    let mut x = a.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ b.wrapping_mul(0xD1B5_4A32_D192_ED03);
-    x ^= x >> 33;
-    x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-    x ^ (x >> 29)
-}
-
 impl Topology for FatTree {
     fn name(&self) -> String {
         self.params.to_string()
@@ -209,7 +201,7 @@ impl Topology for FatTree {
         }
         let (sp, se, _) = p.addr(u64::from(src.0));
         let (dp, de, _) = p.addr(u64::from(dst.0));
-        let hash = mix(u64::from(src.0), u64::from(dst.0));
+        let hash = crate::ecmp_mix(u64::from(src.0), u64::from(dst.0));
         let mut nodes = vec![src, p.edge_id(sp, se)];
         if (sp, se) != (dp, de) {
             let a = hash % p.half();

@@ -353,7 +353,7 @@ impl Jellyfish {
         if dist[src.index()] == u32::MAX {
             return Err(RouteError::Unreachable { src, dst });
         }
-        let hash = mix(u64::from(src.0), u64::from(dst.0));
+        let hash = crate::ecmp_mix(u64::from(src.0), u64::from(dst.0));
         let mut nodes = vec![src];
         let mut cur = src;
         while cur != dst {
@@ -369,7 +369,7 @@ impl Jellyfish {
                 .map(|&(n, _)| n)
                 .collect();
             debug_assert!(!next.is_empty(), "BFS distance field admits a step");
-            cur = next[(mix(hash, nodes.len() as u64) % next.len() as u64) as usize];
+            cur = next[(crate::ecmp_mix(hash, nodes.len() as u64) % next.len() as u64) as usize];
             nodes.push(cur);
         }
         Ok(Route::new(nodes))
@@ -437,15 +437,6 @@ impl Jellyfish {
         }
         Ok(found.into_iter().map(Route::new).collect())
     }
-}
-
-/// Cheap deterministic pair mix for the ECMP choice (same construction as
-/// the fat-tree baseline).
-fn mix(a: u64, b: u64) -> u64 {
-    let mut x = a.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ b.wrapping_mul(0xD1B5_4A32_D192_ED03);
-    x ^= x >> 33;
-    x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-    x ^ (x >> 29)
 }
 
 impl Topology for Jellyfish {

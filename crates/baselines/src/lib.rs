@@ -74,3 +74,13 @@ pub mod prelude {
     pub use abccc::{Abccc, AbcccParams};
     pub use netgraph::Topology;
 }
+
+/// Cheap deterministic pair mix for the ECMP choices of the fat-tree and
+/// Jellyfish baselines: which equal-cost next hop a `(src, dst)` pair
+/// takes is a pure function of the pair.
+pub(crate) fn ecmp_mix(a: u64, b: u64) -> u64 {
+    let mut x = a.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ b.wrapping_mul(0xD1B5_4A32_D192_ED03);
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    x ^ (x >> 29)
+}

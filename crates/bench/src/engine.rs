@@ -2,15 +2,16 @@
 //!
 //! [`run`] executes a set of registered [`Experiment`]s at one
 //! [`Preset`]: it prewarms the unique topologies the grids declare, then
-//! spreads every grid point of every experiment over a work-stealing
-//! thread pool that shares one [`TopoCache`] — so two experiments sweeping
-//! the same `(family, n, k, h)` reuse one constructed `Network` and one
-//! fused all-pairs distance sweep instead of rebuilding per binary.
+//! spreads every grid point of every experiment over
+//! [`netgraph::par::map_indexed`] workers that share one [`TopoCache`] —
+//! so two experiments sweeping the same `(family, n, k, h)` reuse one
+//! constructed `Network` and one fused all-pairs distance sweep instead
+//! of rebuilding per experiment.
 //!
 //! Determinism: every point's randomness derives from
-//! [`Experiment::point_seed`], and results land in slots indexed by
-//! `(experiment, point)` before assembly — so stdout tables and the JSON
-//! rows artifacts are byte-identical for a fixed seed at any thread count.
+//! [`Experiment::point_seed`], and results come back in `(experiment,
+//! point)` order before assembly — so stdout tables and the JSON rows
+//! artifacts are byte-identical for a fixed seed at any thread count.
 //! Only the `<name>.manifest.json` provenance files carry wall-clock
 //! timings and are excluded from that guarantee.
 
@@ -19,8 +20,6 @@ use crate::registry::{Experiment, PointCtx, Preset, Row};
 use crate::Table;
 use serde::Value;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Options for one engine run.
@@ -118,14 +117,6 @@ impl EngineReport {
     }
 }
 
-/// Resolves `0` to the machine's available parallelism.
-fn worker_count(requested: usize) -> usize {
-    if requested != 0 {
-        return requested;
-    }
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
 /// Runs `specs` at the given options.
 ///
 /// # Errors
@@ -139,7 +130,6 @@ fn worker_count(requested: usize) -> usize {
 /// Propagates panics from experiment point functions.
 pub fn run(specs: &[&'static dyn Experiment], opts: &RunOptions) -> Result<EngineReport, String> {
     let t0 = Instant::now();
-    let threads = worker_count(opts.threads);
     let preset = opts.preset;
 
     // Manifests carry memory provenance (peak RSS + `*_bytes` allocation
@@ -184,74 +174,65 @@ pub fn run(specs: &[&'static dyn Experiment], opts: &RunOptions) -> Result<Engin
             .filter(|k| seen.insert(k.clone()))
             .collect()
     };
-    {
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(unique_keys.len().max(1)) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(key) = unique_keys.get(i) else { break };
-                    let _span =
-                        dcn_telemetry::SpanGuard::enter_under("bench.engine.prewarm", run_id);
-                    let _ = cache.get(key);
-                });
-            }
-        });
-    }
+    netgraph::par::map_indexed(
+        unique_keys.len(),
+        opts.threads,
+        || (),
+        |(), i| {
+            let _span = dcn_telemetry::SpanGuard::enter_under("bench.engine.prewarm", run_id);
+            let _ = cache.get(&unique_keys[i]);
+        },
+        drop,
+    );
 
-    // Phase 2 — execute every point, work-stealing, results into
-    // deterministic (experiment, point)-indexed slots.
-    type PointResult = (Result<Vec<Row>, String>, u64);
-    let slots: Mutex<Vec<Option<PointResult>>> = Mutex::new(vec![None; tasks.len()]);
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(tasks.len().max(1)) {
-            scope.spawn(|| loop {
-                let t = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&(si, pi)) = tasks.get(t) else { break };
-                let spec = specs[si];
-                let ctx = PointCtx {
-                    preset,
-                    index: pi,
-                    seed: spec.point_seed(preset, pi),
-                    cache: &cache,
-                };
-                let started = Instant::now();
-                let result = {
-                    // Two causal levels per point: the experiment the
-                    // point belongs to (parented under the run root, so
-                    // the tree reads run → experiment → point even
-                    // across worker threads), then the point itself.
-                    let _exp_span = dcn_telemetry::SpanGuard::enter_under(spec.name(), run_id);
-                    let _span = dcn_telemetry::span!("bench.engine.point");
-                    spec.run_point(&ctx)
-                };
-                let dur_ns = started.elapsed().as_nanos() as u64;
-                dcn_telemetry::histogram!("bench.engine.point_ns").record(dur_ns);
-                slots.lock().expect("slots lock")[t] = Some((result, dur_ns));
-            });
-        }
-    });
-    let slots = slots.into_inner().expect("slots lock");
+    // Phase 2 — execute every point; results come back in (experiment,
+    // point) order.
+    let (slots, workers) = netgraph::par::map_indexed(
+        tasks.len(),
+        opts.threads,
+        || (),
+        |(), t| {
+            let (si, pi) = tasks[t];
+            let spec = specs[si];
+            let ctx = PointCtx {
+                preset,
+                index: pi,
+                seed: spec.point_seed(preset, pi),
+                cache: &cache,
+            };
+            let started = Instant::now();
+            let result = {
+                // Two causal levels per point: the experiment the point
+                // belongs to (parented under the run root, so the tree
+                // reads run → experiment → point even across worker
+                // threads), then the point itself.
+                let _exp_span = dcn_telemetry::SpanGuard::enter_under(spec.name(), run_id);
+                let _span = dcn_telemetry::span!("bench.engine.point");
+                spec.run_point(&ctx)
+            };
+            let dur_ns = started.elapsed().as_nanos() as u64;
+            dcn_telemetry::histogram!("bench.engine.point_ns").record(dur_ns);
+            (result, dur_ns)
+        },
+        drop,
+    );
+    let threads = workers.len();
 
     // Phase 3 — assemble in registry order: tables, artifacts, manifests.
     let mut outcomes = Vec::with_capacity(specs.len());
     let mut manifests = Vec::with_capacity(specs.len());
-    let mut slot_base = 0usize;
+    let mut slots = slots.into_iter();
     for (si, spec) in specs.iter().enumerate() {
         let grid = &grids[si];
         let mut rows: Vec<Row> = Vec::new();
         let mut point_ns: Vec<u64> = Vec::with_capacity(grid.len());
-        for pi in 0..grid.len() {
-            let (result, dur_ns) = slots[slot_base + pi]
-                .clone()
-                .unwrap_or_else(|| panic!("point {pi} of {} never ran", spec.name()));
+        for point in grid {
+            let (result, dur_ns) = slots.next().expect("one result per task");
             point_ns.push(dur_ns);
             let mut point_rows =
-                result.map_err(|e| format!("{}[{}]: {e}", spec.name(), grid[pi].label))?;
+                result.map_err(|e| format!("{}[{}]: {e}", spec.name(), point.label))?;
             rows.append(&mut point_rows);
         }
-        slot_base += grid.len();
 
         if opts.print_tables {
             let mut table = Table::new(&spec.title(preset), spec.headers());
@@ -390,12 +371,6 @@ fn build_manifest(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn worker_count_resolves_zero() {
-        assert!(worker_count(0) >= 1);
-        assert_eq!(worker_count(3), 3);
-    }
 
     #[test]
     fn default_options_print_tables_only() {

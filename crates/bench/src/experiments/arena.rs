@@ -8,10 +8,11 @@
 use super::titled;
 use crate::cache::TopoKey;
 use crate::fmt_f;
-use crate::registry::{mix_seed, Experiment, PointCtx, PointSpec, Preset, Row};
+use crate::registry::{Experiment, PointCtx, PointSpec, Preset, Row};
 use dcn_baselines::family::{self, TopologyFamily};
 use dcn_metrics::{CostModel, TopologyStats};
 use dcn_resilience::{CampaignConfig, ScenarioKind};
+use netgraph::mix_seed;
 use serde::Serialize;
 
 fn e(err: impl std::fmt::Display) -> String {

@@ -9,11 +9,12 @@
 
 use super::titled;
 use crate::fmt_f;
-use crate::registry::{mix_seed, Experiment, PointCtx, PointSpec, Preset, Row};
+use crate::registry::{Experiment, PointCtx, PointSpec, Preset, Row};
 use abccc::{Abccc, AbcccParams};
 use dcn_fib::RouteService;
 use dcn_serve::loadgen::{run_loopback, LoadgenConfig};
 use dcn_serve::ServeConfig;
+use netgraph::mix_seed;
 use serde::Serialize;
 
 /// The deterministic slice of a saturation row.

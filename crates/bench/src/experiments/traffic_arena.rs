@@ -12,11 +12,11 @@
 use super::titled;
 use crate::cache::TopoKey;
 use crate::fmt_f;
-use crate::registry::{mix_seed, Experiment, PointCtx, PointSpec, Preset, Row};
+use crate::registry::{Experiment, PointCtx, PointSpec, Preset, Row};
 use dcn_baselines::family;
 use dcn_sim::{retention, FaultInjection, FctSummary, Scenario, TrafficEngine};
 use dcn_workloads::scenarios;
-use netgraph::FaultScenario;
+use netgraph::{mix_seed, FaultScenario};
 use serde::Serialize;
 
 /// Families in the arena, display order — deterministic native routing at

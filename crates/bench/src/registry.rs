@@ -13,6 +13,7 @@
 //! JSON rows are byte-identical at any worker count.
 
 use crate::cache::{SharedTopo, TopoCache, TopoKey};
+use netgraph::mix_seed;
 use serde::{Serialize, Value};
 use std::sync::Arc;
 
@@ -212,14 +213,6 @@ pub trait Experiment: Sync {
     fn run_point(&self, ctx: &PointCtx<'_>) -> Result<Vec<Row>, String>;
 }
 
-/// SplitMix64 bijection — decorrelates per-point seed streams.
-pub fn mix_seed(seed: u64, salt: u64) -> u64 {
-    let mut z = seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Every registered experiment, in evaluation order (tables first, then
 /// figures, then the scale demonstration).
 pub fn all() -> &'static [&'static dyn Experiment] {
@@ -229,26 +222,6 @@ pub fn all() -> &'static [&'static dyn Experiment] {
 /// Looks up an experiment by registry name.
 pub fn find(name: &str) -> Option<&'static dyn Experiment> {
     all().iter().copied().find(|e| e.name() == name)
-}
-
-/// Entry point of the `fig*`/`table*` shim binaries: runs the named
-/// experiment at the `paper` preset, printing the historical stdout table
-/// and honoring `ABCCC_BENCH_JSON` for artifacts. Exits non-zero on
-/// failure.
-pub fn shim_main(name: &str) {
-    let Some(spec) = find(name) else {
-        eprintln!("error: experiment `{name}` is not registered");
-        std::process::exit(2);
-    };
-    let opts = crate::engine::RunOptions {
-        preset: Preset::Paper,
-        json_dir: std::env::var("ABCCC_BENCH_JSON").ok().map(Into::into),
-        ..Default::default()
-    };
-    if let Err(e) = crate::engine::run(&[spec], &opts) {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    }
 }
 
 #[cfg(test)]
@@ -261,14 +234,6 @@ mod tests {
             assert_eq!(Preset::parse(p.label()), Some(p));
         }
         assert_eq!(Preset::parse("huge"), None);
-    }
-
-    #[test]
-    fn mix_seed_decorrelates_indices() {
-        let a = mix_seed(7, 0);
-        let b = mix_seed(7, 1);
-        assert_ne!(a, b);
-        assert_eq!(a, mix_seed(7, 0));
     }
 
     #[test]

@@ -45,15 +45,20 @@ struct CliOptions {
 
 impl CliOptions {
     fn extract(args: &mut Vec<String>) -> CliOptions {
+        let trace = take_flag(args, "--trace");
+        let metrics_out = take_flag_value(args, "--metrics-out");
+        let trace_out = take_flag_value(args, "--trace-out");
+        let flame_out = take_flag_value(args, "--flame-out");
         // For `experiments` the `--json` flag takes a directory operand
         // and is parsed by the subcommand itself; everywhere else it is a
-        // boolean toggling JSON report output.
+        // boolean toggling JSON report output. The subcommand is only
+        // first once the global flags and their values are gone.
         let experiments = args.first().is_some_and(|a| a == "experiments");
         CliOptions {
-            trace: take_flag(args, "--trace"),
-            metrics_out: take_flag_value(args, "--metrics-out"),
-            trace_out: take_flag_value(args, "--trace-out"),
-            flame_out: take_flag_value(args, "--flame-out"),
+            trace,
+            metrics_out,
+            trace_out,
+            flame_out,
             json: !experiments && take_flag(args, "--json"),
         }
     }

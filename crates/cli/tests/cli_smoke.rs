@@ -672,6 +672,34 @@ fn trace_out_produces_a_valid_chrome_trace() {
 }
 
 #[test]
+fn global_flags_before_experiments_keep_its_json_directory() {
+    let dir = std::env::temp_dir().join(format!("abccc_cli_trace_exp_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let trace = dir.join("trace.json");
+    let rows = dir.join("rows");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let run = cli(&[
+        "--trace-out",
+        trace.to_str().expect("utf-8"),
+        "experiments",
+        "run",
+        "table1_properties",
+        "--preset",
+        "tiny",
+        "--json",
+        rows.to_str().expect("utf-8"),
+    ]);
+    assert!(
+        run.status.success(),
+        "{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    assert!(trace.is_file());
+    assert!(rows.join("table1_properties.json").is_file());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn perf_rejects_unknown_subcommand() {
     let out = cli(&["perf", "measure"]);
     assert!(!out.status.success());

@@ -31,7 +31,6 @@
 
 use abccc::{Abccc, PermStrategy, ServerAddr, SwitchAddr};
 use netgraph::{Network, NodeId, Route, Topology};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Sentinel for the diagonal entries (`src == dst`): never dereferenced,
@@ -105,10 +104,9 @@ impl std::error::Error for FibError {}
 
 /// Compiles [`DigitRouter`] decisions into a [`Fib`].
 ///
-/// The sweep parallelizes over destinations with the same work-stealing
-/// pattern as `netgraph::DistanceEngine`: an atomic cursor hands
-/// destination slabs to scoped worker threads; each slab is an
-/// independent, disjoint slice of the flat table, so assembly needs no
+/// The sweep parallelizes over destinations with
+/// [`netgraph::par::map_indexed`]; each destination's slab is a disjoint
+/// slice of the flat table, filled in place, so assembly needs no
 /// reordering.
 #[derive(Debug, Clone, Copy)]
 pub struct FibCompiler {
@@ -167,36 +165,25 @@ impl FibCompiler {
         let _span = dcn_telemetry::span!("fib.compile");
         let p = *topo.params();
         let servers = p.server_count() as usize;
-        let threads = if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.threads
-        }
-        .min(servers)
-        .max(1);
-
         let strategy = self.strategy;
         let mut entries = vec![SELF; servers * servers];
         {
-            // Hand each destination's slab (a disjoint &mut slice of the
-            // flat table) to whichever worker steals it.
+            // Each destination's slab is a disjoint &mut slice of the one
+            // flat table, filled in place by whichever worker claims it.
             let slabs: Mutex<Vec<Option<&mut [u32]>>> =
                 Mutex::new(entries.chunks_mut(servers).map(Some).collect());
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|| loop {
-                        let d = next.fetch_add(1, Ordering::Relaxed);
-                        if d >= servers {
-                            break;
-                        }
-                        let slab = slabs.lock().expect("slab list")[d]
-                            .take()
-                            .expect("each slab taken once");
-                        fill_slab(&p, net, strategy, d as u32, slab);
-                    });
-                }
-            });
+            netgraph::par::map_indexed(
+                servers,
+                self.threads,
+                || (),
+                |(), d| {
+                    let slab = slabs.lock().expect("slab list")[d]
+                        .take()
+                        .expect("each slab taken once");
+                    fill_slab(&p, net, strategy, d as u32, slab);
+                },
+                drop,
+            );
         }
 
         let fib = Fib {

@@ -8,8 +8,8 @@
 //! * [`FibCompiler`] lowers a deterministic
 //!   [`PermStrategy`](abccc::PermStrategy) into a flat, destination-major
 //!   table of packed `u32` port pairs — one entry per
-//!   `(source server, destination server)` — compiled in parallel with
-//!   the same work-stealing pattern as `netgraph`'s distance engine.
+//!   `(source server, destination server)` — compiled in parallel over
+//!   destinations by [`netgraph::par::map_indexed`].
 //!   The correctness of per-server tables rests on the **suffix
 //!   property** of the deterministic digit-correction strategies (see
 //!   the module docs of the compiler); the seeded `Random` strategy

@@ -39,7 +39,6 @@ use abccc::{Abccc, PermStrategy, ResilientRouter, RetryBudget, RouteOutcome, Ser
 use netgraph::{FaultMask, FaultScenario, NodeId, Route, RouteError, Topology};
 use rand::SeedableRng;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// What [`RouteService::apply_mask`] did to the patch caches.
@@ -183,13 +182,14 @@ impl RouteService {
             .sum()
     }
 
+    /// The shard a pair's patches live in.
     #[inline]
-    fn shard_of(&self, src: NodeId, dst: NodeId) -> &Shard {
+    fn shard_of(&self, src: NodeId, dst: NodeId) -> usize {
         // SplitMix64 finalizer over the pair — decorrelates shard choice
         // from id locality so batches spread evenly.
         let mut z = pair_seed(0x5A_4D17, src, dst).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        &self.shards[(z >> 32) as usize & (self.shards.len() - 1)]
+        (z >> 32) as usize & (self.shards.len() - 1)
     }
 
     /// Routes `src → dst` from the compiled table (see the module docs for
@@ -228,7 +228,7 @@ impl RouteService {
         dst: NodeId,
         mask: &FaultMask,
     ) -> Result<RouteOutcome, RouteError> {
-        let shard = self.shard_of(src, dst);
+        let shard = &self.shards[self.shard_of(src, dst)];
         if let Some(hit) = shard
             .patches
             .lock()
@@ -251,41 +251,59 @@ impl RouteService {
     }
 
     /// Answers a batch of queries, partitioned across shards and executed
-    /// on one scoped thread per (occupied) shard. Results come back in
-    /// input order and are bit-identical to calling [`RouteService::query`]
+    /// on one worker per (occupied) shard. Results come back in input
+    /// order and are bit-identical to calling [`RouteService::query`]
     /// sequentially — per-pair answers are pure given the installed mask,
     /// so the shard count and scheduling never show in the output.
     pub fn query_batch(&self, pairs: &[(NodeId, NodeId)]) -> Vec<Result<RouteOutcome, RouteError>> {
         let _span = dcn_telemetry::span!("fib.query_batch");
         dcn_telemetry::counter!("fib.batches").inc();
-        let mut by_shard: Vec<Vec<usize>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
+        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
         for (i, &(s, d)) in pairs.iter().enumerate() {
-            let mut z = pair_seed(0x5A_4D17, s, d).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            by_shard[(z >> 32) as usize & (self.shards.len() - 1)].push(i);
+            by_shard[self.shard_of(s, d)].push(i);
         }
-        let slots: Mutex<Vec<Option<Result<RouteOutcome, RouteError>>>> =
-            Mutex::new(vec![None; pairs.len()]);
-        let occupied: Vec<&Vec<usize>> = by_shard.iter().filter(|ix| !ix.is_empty()).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..occupied.len() {
-                scope.spawn(|| loop {
-                    let w = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(indices) = occupied.get(w) else {
-                        break;
-                    };
-                    for &i in *indices {
-                        let (s, d) = pairs[i];
-                        let r = self.query(s, d);
-                        slots.lock().expect("batch slots")[i] = Some(r);
+        by_shard.retain(|indices| !indices.is_empty());
+        // One answer buffer in shard-major order; each shard's worker
+        // fills its own disjoint chunk in place, so a batch never holds
+        // a second copy of its answers.
+        let mut answers = vec![None; pairs.len()];
+        {
+            let mut rest = answers.as_mut_slice();
+            let chunks: Vec<_> = by_shard
+                .iter()
+                .map(|indices| {
+                    let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(indices.len());
+                    rest = tail;
+                    Some(chunk)
+                })
+                .collect();
+            let chunks = Mutex::new(chunks);
+            netgraph::par::map_indexed(
+                by_shard.len(),
+                by_shard.len(),
+                || (),
+                |(), shard| {
+                    let chunk = chunks.lock().expect("answer chunks")[shard]
+                        .take()
+                        .expect("each chunk taken once");
+                    for (answer, &i) in chunk.iter_mut().zip(&by_shard[shard]) {
+                        *answer = Some(self.query(pairs[i].0, pairs[i].1));
                     }
-                });
+                },
+                drop,
+            );
+        }
+        // Permute shard-major into input order in place: `order[j]` is
+        // where `answers[j]` belongs.
+        let mut order = by_shard.concat();
+        for j in 0..order.len() {
+            while order[j] != j {
+                let home = order[j];
+                answers.swap(j, home);
+                order.swap(j, home);
             }
-        });
-        slots
-            .into_inner()
-            .expect("batch slots")
+        }
+        answers
             .into_iter()
             .map(|r| r.expect("every pair answered"))
             .collect()

@@ -7,9 +7,8 @@
 //! * **Reusable scratch** ([`BfsScratch`]): distance/parent/queue buffers
 //!   are allocated once per worker thread and reset with `fill`, so a
 //!   source costs zero allocations.
-//! * **Work stealing**: sources are handed to worker threads through an
-//!   atomic counter instead of static chunking, so a thread that drew
-//!   cheap sources keeps pulling work instead of idling at a barrier.
+//! * **Work stealing**: sources are spread over worker threads by
+//!   [`crate::par::map_indexed`].
 //! * **Fused accumulation**: diameter, average path length, the
 //!   eccentricity histogram and (optionally) per-link shortest-path load
 //!   are all folded into per-thread accumulators during the *same* sweep
@@ -24,7 +23,7 @@
 
 use crate::{Network, NodeId};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Unreachable marker, identical to [`crate::bfs::UNREACHABLE`].
 pub const UNREACHABLE: u32 = u32::MAX;
@@ -221,70 +220,57 @@ impl<'a> DistanceEngine<'a> {
         if n_servers < 2 {
             return None;
         }
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4)
-            .min(n_servers);
-        let next = AtomicUsize::new(0);
         let disconnected = AtomicBool::new(false);
         let servers = &servers[..];
-        if threads == 1 {
-            // Run inline: a lone worker gains nothing from spawn/join.
-            let mut scratch = BfsScratch::new();
-            let mut acc = ThreadAcc::new(with_load, net.link_count());
-            for &src in servers {
-                self.search(src, &mut scratch, with_load);
-                if !acc.absorb(net, servers, src, &mut scratch, with_load) {
-                    return None;
+        let (_, workers) = crate::par::map_indexed(
+            n_servers,
+            0,
+            || Worker {
+                _span: dcn_telemetry::span!("netgraph.distance.worker"),
+                scratch: BfsScratch::new(),
+                acc: ThreadAcc::new(with_load, net.link_count()),
+                sources: 0,
+            },
+            |w, i| {
+                if disconnected.load(Ordering::Relaxed) {
+                    return;
                 }
-            }
-            record_worker_stats(n_servers as u64, 0);
-            return Some(acc.finish(n_servers));
-        }
-        let next = &next;
-        let disconnected = &disconnected;
-        let accs: Vec<ThreadAcc> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(move || {
-                        let _worker_span = dcn_telemetry::span!("netgraph.distance.worker");
-                        let mut scratch = BfsScratch::new();
-                        let mut acc = ThreadAcc::new(with_load, net.link_count());
-                        let mut sources = 0u64;
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= servers.len() || disconnected.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            sources += 1;
-                            self.search(servers[i], &mut scratch, with_load);
-                            if !acc.absorb(net, servers, servers[i], &mut scratch, with_load) {
-                                disconnected.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                        }
-                        // A draw beyond the static fair share is work the
-                        // counter redistributed away from a slower thread.
-                        let fair = (servers.len() / threads) as u64;
-                        record_worker_stats(sources, sources.saturating_sub(fair));
-                        acc
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("BFS worker panicked"))
-                .collect()
-        });
+                w.sources += 1;
+                self.search(servers[i], &mut w.scratch, with_load);
+                if !w
+                    .acc
+                    .absorb(net, servers, servers[i], &mut w.scratch, with_load)
+                {
+                    disconnected.store(true, Ordering::Relaxed);
+                }
+            },
+            |w| (w.acc, w.sources),
+        );
         if disconnected.load(Ordering::Relaxed) {
             return None;
         }
-        let mut merged = ThreadAcc::new(with_load, net.link_count());
-        for acc in accs {
-            merged.merge(acc);
-        }
+        // A draw beyond the static fair share is work the cursor
+        // redistributed away from a slower worker.
+        let fair = (n_servers / workers.len()) as u64;
+        let merged = workers
+            .into_iter()
+            .map(|(acc, sources)| {
+                record_worker_stats(sources, sources.saturating_sub(fair));
+                acc
+            })
+            .reduce(ThreadAcc::merge)
+            .expect("at least two servers, so at least one worker");
         Some(merged.finish(n_servers))
     }
+}
+
+/// One sweep worker's state: its span, reusable BFS buffers, fused
+/// accumulator and how many sources it claimed.
+struct Worker {
+    _span: dcn_telemetry::SpanGuard,
+    scratch: BfsScratch,
+    acc: ThreadAcc,
+    sources: u64,
 }
 
 /// Folds one finished worker's load-balance telemetry into the global
@@ -360,7 +346,7 @@ impl ThreadAcc {
         }
     }
 
-    fn merge(&mut self, other: ThreadAcc) {
+    fn merge(mut self, other: ThreadAcc) -> ThreadAcc {
         self.max_ecc = self.max_ecc.max(other.max_ecc);
         self.dist_sum += other.dist_sum;
         if self.ecc_hist.len() < other.ecc_hist.len() {
@@ -372,6 +358,7 @@ impl ThreadAcc {
         for (a, b) in self.link_load.iter_mut().zip(&other.link_load) {
             *a += b;
         }
+        self
     }
 }
 

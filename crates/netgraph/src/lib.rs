@@ -14,6 +14,9 @@
 //!   with reusable scratch, work-stealing source distribution and a fused
 //!   single sweep for diameter + average path length + eccentricity
 //!   histogram + per-link shortest-path load,
+//! * [`par::map_indexed`], the work-stealing, index-ordered parallel loop
+//!   every sweep in the workspace runs on, and the seed mixers
+//!   ([`mix_seed`]) that give each of its items its own RNG stream,
 //! * exact minimum cuts via Dinic max-flow ([`maxflow`]): bisection width of
 //!   a bipartition, pairwise edge/vertex connectivity,
 //! * vertex-disjoint path extraction ([`paths`]),
@@ -51,6 +54,8 @@ mod error;
 mod fault;
 mod graph;
 pub mod maxflow;
+mod mix;
+pub mod par;
 pub mod paths;
 mod route;
 pub mod sample;
@@ -61,5 +66,6 @@ pub use distance::{AllPairsStats, BfsScratch, DistanceEngine, SourceStats};
 pub use error::{NetworkError, RouteError};
 pub use fault::FaultMask;
 pub use graph::{Link, LinkId, Network, NodeId, NodeKind};
+pub use mix::{mix_seed, mix_seed_additive};
 pub use route::{AsAny, Route, Topology};
 pub use scenario::FaultScenario;

@@ -10,8 +10,9 @@
 //!
 //! Determinism contract: for a fixed `(network, samples, seed)` the output
 //! is **byte-identical at any worker thread count**. Sources are drawn up
-//! front by a single seeded RNG, workers write into per-source slots, and
-//! all floating-point folds run sequentially in slot order afterward.
+//! front by a single seeded RNG, [`crate::par::map_indexed`] returns their
+//! stats in source order, and all floating-point folds run sequentially
+//! in that order afterward.
 //!
 //! Estimator semantics (what the error bars mean):
 //!
@@ -27,11 +28,9 @@
 //!   bipartitions with switches assigned greedily, an *upper bound* on the
 //!   true bisection width (every concrete balanced cut is).
 
-use crate::distance::{BfsScratch, DistanceEngine, SourceStats};
+use crate::distance::{BfsScratch, DistanceEngine};
 use crate::{Network, NodeId};
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// A sampled point estimate with its 95% confidence half-width.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -96,7 +95,13 @@ pub fn sampled_server_metrics(net: &Network, samples: usize, seed: u64) -> Optio
     }
     let sources = sample_sources(n, samples, seed);
     let engine = DistanceEngine::new(net);
-    let slots = run_sources(&engine, &sources);
+    let (slots, _) = crate::par::map_indexed(
+        sources.len(),
+        0,
+        BfsScratch::new,
+        |scratch, i| engine.source_stats_into(sources[i], scratch),
+        drop,
+    );
     // Sequential fold in slot (draw) order: thread count cannot reorder it.
     let k = sources.len();
     let mut diameter_lb = 0u32;
@@ -121,44 +126,6 @@ pub fn sampled_server_metrics(net: &Network, samples: usize, seed: u64) -> Optio
         },
         seed,
     })
-}
-
-/// Runs one [`DistanceEngine::source_stats_into`] per source, work-stolen
-/// across threads, results placed in source order.
-fn run_sources(engine: &DistanceEngine<'_>, sources: &[NodeId]) -> Vec<Option<SourceStats>> {
-    let threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-        .min(sources.len());
-    if threads <= 1 {
-        let mut scratch = BfsScratch::new();
-        return sources
-            .iter()
-            .map(|&src| engine.source_stats_into(src, &mut scratch))
-            .collect();
-    }
-    let slots: Vec<Mutex<Option<SourceStats>>> =
-        (0..sources.len()).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut scratch = BfsScratch::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= sources.len() {
-                        break;
-                    }
-                    *slots[i].lock().expect("slot poisoned") =
-                        engine.source_stats_into(sources[i], &mut scratch);
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("slot poisoned"))
-        .collect()
 }
 
 /// Result of seeded balanced-bipartition bisection probing.

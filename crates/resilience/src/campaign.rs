@@ -1,17 +1,17 @@
 //! The campaign engine: configuration, parallel trial execution.
 
 use crate::report::{CampaignReport, TierCounts, TrialReport};
-use crate::{mix_seed, ScenarioKind};
+use crate::ScenarioKind;
 use abccc::{
     routing, Abccc, CubeLabel, DigitRouter, PermStrategy, ResilientRouter, RetryBudget, RouteTier,
     Router, ServerAddr, VlbRouter,
 };
 use dcn_sim::{max_min_allocation, DirectedLink};
-use netgraph::{FaultMask, Network, NetworkError, NodeId, Route, RouteError, Topology};
+use netgraph::{
+    mix_seed_additive, FaultMask, Network, NetworkError, NodeId, Route, RouteError, Topology,
+};
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Which [`Router`] a campaign drives.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -246,58 +246,24 @@ impl CampaignConfig {
         }
         let _span = dcn_telemetry::span!("resilience.campaign");
         dcn_telemetry::counter!("resilience.campaigns").inc();
-        let threads = if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.threads
-        }
-        .min(self.trials)
-        .max(1);
-
-        let next = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Option<TrialReport>>> = Mutex::new(vec![None; self.trials]);
-        let first_err: Mutex<Option<RouteError>> = Mutex::new(None);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    let router = match plane {
-                        Plane::Abccc { router, .. } => Some(router()),
-                        Plane::Native { .. } => None,
-                    };
-                    loop {
-                        let trial = next.fetch_add(1, Ordering::Relaxed);
-                        if trial >= self.trials {
-                            break;
-                        }
-                        let result = match plane {
-                            Plane::Abccc { topo, .. } => {
-                                let router = router.as_deref().expect("abccc plane router");
-                                run_trial(self, topo, router, trial)
-                            }
-                            Plane::Native { topo } => run_trial_native(self, *topo, trial),
-                        };
-                        match result {
-                            Ok(report) => {
-                                slots.lock().expect("trial slots")[trial] = Some(report);
-                            }
-                            Err(e) => {
-                                first_err.lock().expect("err slot").get_or_insert(e);
-                                break;
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        if let Some(e) = first_err.into_inner().expect("err slot") {
-            return Err(e);
-        }
-        let trials: Vec<TrialReport> = slots
-            .into_inner()
-            .expect("trial slots")
-            .into_iter()
-            .map(|t| t.expect("every trial completed"))
-            .collect();
+        let (results, _) = netgraph::par::map_indexed(
+            self.trials,
+            self.threads,
+            || match plane {
+                Plane::Abccc { router, .. } => Some(router()),
+                Plane::Native { .. } => None,
+            },
+            |router, trial| match plane {
+                Plane::Abccc { topo, .. } => {
+                    let router = router.as_deref().expect("abccc plane router");
+                    run_trial(self, topo, router, trial)
+                }
+                Plane::Native { topo } => run_trial_native(self, *topo, trial),
+            },
+            drop,
+        );
+        // The lowest failing trial's error, whatever the scheduling.
+        let trials = results.into_iter().collect::<Result<Vec<_>, _>>()?;
         dcn_telemetry::counter!("resilience.trials").add(trials.len() as u64);
         Ok(CampaignReport::summarize(
             plane.topology().name(),
@@ -437,7 +403,7 @@ fn run_trial(
     let _trial_timer = dcn_telemetry::histogram!("resilience.trial_ns").start_timer();
     let p = topo.params();
     let net = topo.network();
-    let trial_seed = mix_seed(config.seed, trial as u64);
+    let trial_seed = mix_seed_additive(config.seed, trial as u64);
     let steps = config.scenario.steps();
 
     let mut failed_nodes = 0.0;
@@ -465,7 +431,7 @@ fn run_trial(
         connectivity += netgraph::connectivity::largest_component_server_fraction(net, Some(&mask))
             / steps as f64;
 
-        let pair_seed = mix_seed(trial_seed, 0x5EED_0000 + step as u64);
+        let pair_seed = mix_seed_additive(trial_seed, 0x5EED_0000 + step as u64);
         let (pairs, step_skipped) = sample_pairs(topo, &mask, config.pairs, pair_seed);
         pairs_total += pairs.len() + step_skipped;
         skipped += step_skipped;
@@ -565,7 +531,7 @@ fn run_trial_native(
     let _span = dcn_telemetry::span!("resilience.trial");
     let _trial_timer = dcn_telemetry::histogram!("resilience.trial_ns").start_timer();
     let net = topo.network();
-    let trial_seed = mix_seed(config.seed, trial as u64);
+    let trial_seed = mix_seed_additive(config.seed, trial as u64);
     let steps = config.scenario.steps();
 
     let mut failed_nodes = 0.0;
@@ -592,7 +558,7 @@ fn run_trial_native(
         connectivity += netgraph::connectivity::largest_component_server_fraction(net, Some(&mask))
             / steps as f64;
 
-        let pair_seed = mix_seed(trial_seed, 0x5EED_0000 + step as u64);
+        let pair_seed = mix_seed_additive(trial_seed, 0x5EED_0000 + step as u64);
         let (pairs, step_skipped) = sample_pairs(topo, &mask, config.pairs, pair_seed);
         pairs_total += pairs.len() + step_skipped;
         skipped += step_skipped;
@@ -699,6 +665,42 @@ mod tests {
         let serial = base().threads(1).run_on(&t).unwrap();
         let parallel = base().threads(4).run_on(&t).unwrap();
         assert_eq!(serial, parallel);
+    }
+
+    /// Fails every pair whose source id is a multiple of 7 with an error
+    /// outside the escalation ladder, which aborts the trial that drew it.
+    struct Rejecting;
+
+    impl Router for Rejecting {
+        fn name(&self) -> String {
+            "rejecting".into()
+        }
+
+        fn route(
+            &self,
+            topo: &Abccc,
+            src: NodeId,
+            dst: NodeId,
+            mask: Option<&FaultMask>,
+        ) -> Result<abccc::RouteOutcome, RouteError> {
+            if src.0.is_multiple_of(7) {
+                return Err(RouteError::NotAServer(src));
+            }
+            ResilientRouter::new(RetryBudget::default()).route(topo, src, dst, mask)
+        }
+    }
+
+    #[test]
+    fn failing_trials_report_the_same_error_at_any_thread_count() {
+        let t = cube();
+        let factory = || Box::new(Rejecting) as Box<dyn Router>;
+        let config = base().trials(8).measure_throughput(false);
+        let serial = config.threads(1).run_with(&t, &factory).unwrap_err();
+        assert!(matches!(serial, RouteError::NotAServer(_)), "{serial}");
+        for _ in 0..8 {
+            let parallel = config.threads(4).run_with(&t, &factory).unwrap_err();
+            assert_eq!(parallel, serial);
+        }
     }
 
     #[test]

@@ -14,10 +14,11 @@
 //! Scenarios cover uniform element failures ([`ScenarioKind::Uniform`]),
 //! correlated rack/level outages ([`ScenarioKind::CrossbarGroups`],
 //! [`ScenarioKind::LevelSwitches`]) and time-stepped link flapping
-//! ([`ScenarioKind::FlappingLinks`]). Trials run in parallel with a
-//! work-stealing worker pool, yet every number in the report depends only
-//! on the campaign seed — per-trial RNG streams are derived by index, so
-//! reports are byte-identical across runs and thread counts.
+//! ([`ScenarioKind::FlappingLinks`]). Trials run in parallel on
+//! [`netgraph::par::map_indexed`], yet every number in the report depends
+//! only on the campaign seed — per-trial RNG streams are derived by index
+//! ([`netgraph::mix_seed_additive`]) and trials come back in index order,
+//! so reports are byte-identical across runs and thread counts.
 //!
 //! Campaigns are topology-agnostic: hand [`CampaignConfig::run_on`] any
 //! materialized [`Topology`](netgraph::Topology). An ABCCC instance is
@@ -58,15 +59,3 @@ mod scenario;
 pub use campaign::{CampaignConfig, PairSampling, RouterSpec};
 pub use report::{CampaignReport, CampaignSummary, TierCounts, TrialReport};
 pub use scenario::ScenarioKind;
-
-/// SplitMix64 finalizer — decorrelates derived seeds so that trial `i`'s
-/// stream shares nothing with trial `i+1`'s even though the inputs differ
-/// by one bit.
-pub(crate) fn mix_seed(seed: u64, stream: u64) -> u64 {
-    let mut z = seed
-        .wrapping_add(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(stream.wrapping_mul(0xBF58_476D_1CE4_E5B9));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}

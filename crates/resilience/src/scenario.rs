@@ -1,8 +1,7 @@
 //! Campaign fault scenarios: what breaks, per trial.
 
-use crate::mix_seed;
 use abccc::Abccc;
-use netgraph::{FaultMask, FaultScenario, NetworkError, Topology};
+use netgraph::{mix_seed_additive, FaultMask, FaultScenario, NetworkError, Topology};
 use serde::{Deserialize, Serialize};
 
 /// What a single campaign trial breaks. Every variant materializes through
@@ -159,7 +158,7 @@ impl ScenarioKind {
     /// passed [`ScenarioKind::validate_for`] first.
     pub(crate) fn mask_for(&self, topo: &dyn Topology, trial_seed: u64, step: usize) -> FaultMask {
         let net = topo.network();
-        let seed = mix_seed(trial_seed, step as u64);
+        let seed = mix_seed_additive(trial_seed, step as u64);
         let cube = || {
             topo.as_any()
                 .downcast_ref::<Abccc>()

@@ -15,6 +15,7 @@ use crate::server::{DrainReport, RouteServer, ServeConfig};
 use crate::wire::{Reply, Request};
 use dcn_fib::RouteService;
 use dcn_telemetry::HdrHistogram;
+use netgraph::mix_seed;
 use serde::Serialize;
 use std::net::SocketAddr;
 use std::time::Instant;
@@ -32,7 +33,7 @@ pub struct LoadgenConfig {
     /// the server's `max_inflight` and no request is ever rejected —
     /// which is what the deterministic harness relies on.
     pub window: usize,
-    /// Base seed; connection `c` draws from `mix(seed, c)`.
+    /// Base seed; connection `c` draws from `mix_seed(seed, c)`.
     pub seed: u64,
 }
 
@@ -106,15 +107,6 @@ fn fnv(hash: &mut u64, bytes: &[u8]) {
         *hash ^= u64::from(b);
         *hash = hash.wrapping_mul(FNV_PRIME);
     }
-}
-
-/// SplitMix64 — same mixer the experiment registry uses for per-point
-/// seeds, reused here for per-connection streams.
-fn mix(seed: u64, salt: u64) -> u64 {
-    let mut z = seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Drives `cfg` against an already-running server at `addr` whose FIB
@@ -209,7 +201,7 @@ fn drive_connection(
 ) -> Result<ConnResult, ServeError> {
     use rand::{Rng, SeedableRng};
     let mut client = ServeClient::connect(addr)?;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(mix(cfg.seed, conn_index));
+    let mut rng = rand::rngs::StdRng::seed_from_u64(mix_seed(cfg.seed, conn_index));
     let batch = cfg.batch.max(1);
     let mut res = ConnResult {
         ok: 0,

@@ -16,9 +16,9 @@
 //! reroute on the same plane, flows with no surviving path are killed and
 //! accounted.
 //!
-//! [`TrafficEngine::run_batch`] sweeps scenarios with work-stealing
-//! workers and slot-ordered assembly, so reports are byte-identical at
-//! any thread count — the campaign engine's determinism discipline.
+//! [`TrafficEngine::run_batch`] sweeps scenarios on
+//! [`netgraph::par::map_indexed`], so reports are byte-identical at any
+//! thread count — the campaign engine's determinism discipline.
 
 use crate::maxmin::{max_min_allocation, DirectedLink};
 use crate::packet::{run_packet, PacketFlow};
@@ -31,7 +31,6 @@ use dcn_fib::RouteService;
 use dcn_telemetry::HdrHistogram;
 use netgraph::{FaultMask, NodeId, Route, RouteError, Topology};
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Which routing plane resolves scenario flows.
@@ -215,7 +214,7 @@ impl<'a> TrafficEngine<'a> {
         Ok(report)
     }
 
-    /// Runs a scenario batch with `threads` work-stealing workers.
+    /// Runs a scenario batch on up to `threads` workers (`0` runs one).
     /// Reports come back in input order and are byte-identical at any
     /// thread count. [`RoutePlane::Fib`] batches run sequentially (the
     /// shared service holds one fault mask at a time).
@@ -231,32 +230,18 @@ impl<'a> TrafficEngine<'a> {
         let threads = if matches!(self.plane, RoutePlane::Fib(_)) {
             1
         } else {
-            threads.max(1).min(scenarios.len().max(1))
+            threads.max(1)
         };
-        if threads <= 1 {
-            return scenarios.iter().map(|s| self.run(s)).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Option<Result<ScenarioReport, EngineError>>>> =
-            Mutex::new((0..scenarios.len()).map(|_| None).collect());
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::SeqCst);
-                    if i >= scenarios.len() {
-                        break;
-                    }
-                    let r = self.run(&scenarios[i]);
-                    slots.lock().expect("slot lock poisoned")[i] = Some(r);
-                });
-            }
-        });
-        slots
-            .into_inner()
-            .expect("slot lock poisoned")
-            .into_iter()
-            .map(|r| r.expect("every slot filled"))
-            .collect()
+        netgraph::par::map_indexed(
+            scenarios.len(),
+            threads,
+            || (),
+            |(), i| self.run(&scenarios[i]),
+            drop,
+        )
+        .0
+        .into_iter()
+        .collect()
     }
 
     /// The packet-fidelity adapter: scenario flows → packet trains, run

@@ -4,7 +4,7 @@
 //!
 //! * **Core** — a binary-heap [`EventQueue`] keyed `(time, seq)` so event
 //!   order is time-then-insertion, and [`SplitMix64`] per-entity RNG
-//!   streams ([`mix_seed`] matches the campaign engine's seed discipline).
+//!   streams seeded by [`netgraph::mix_seed`].
 //!   Nothing in the engine reads wall clocks or global RNG state, so every
 //!   run is byte-deterministic at any thread count.
 //! * **Fluid backend** — flows are rates under progressive-filling max-min
@@ -18,13 +18,12 @@
 //! fault timeline ([`FaultInjection`] — faults fire *mid-flow*), and a
 //! [`Fidelity`]; [`TrafficEngine::run`] turns it into a
 //! [`ScenarioReport`] with HDR FCT quantiles and byte-conservation
-//! accounting, and [`TrafficEngine::run_batch`] sweeps batches with
-//! work-stealing workers and slot-ordered, thread-count-independent
-//! results.
+//! accounting, and [`TrafficEngine::run_batch`] sweeps batches on
+//! [`netgraph::par::map_indexed`] with thread-count-independent results.
 //!
 //! The historical `flowsim` ([`FlowSim`]) and `packetsim` ([`PacketSim`])
-//! APIs live on as thin veneers over the same internals; the old crates
-//! re-export them.
+//! APIs live on as thin veneers over the same internals, and keep their
+//! `flowsim.*`/`packetsim.*` span and metric names.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,6 +44,6 @@ pub use maxmin::{max_min_allocation, DirectedLink};
 pub use packet::{AimdConfig, FlowSpec, PacketSim, PacketSimConfig};
 pub use queue::EventQueue;
 pub use report::{retention, FctSummary, FlowResult, ScenarioReport};
-pub use rng::{mix_seed, SplitMix64};
+pub use rng::SplitMix64;
 pub use scenario::{FaultInjection, Fidelity, Scenario, ScenarioFlow, Transport};
 pub use stats::{FlowOutcome, PacketSimReport};

@@ -3,24 +3,13 @@
 //! The engine's determinism discipline is the campaign engine's: one run
 //! seed, split into independent per-entity streams with SplitMix64 so the
 //! randomness an entity sees never depends on scheduling order, thread
-//! count, or how many entities came before it. `mix_seed` uses the exact
-//! finalizer constants the experiment registry uses for per-point seeds,
-//! so a scenario seeded from a registry point inherits the same stream
+//! count, or how many entities came before it. Streams are seeded by
+//! [`netgraph::mix_seed`], the experiment registry's per-point mixer, so
+//! a scenario seeded from a registry point inherits the same stream
 //! family.
 
+use netgraph::mix_seed;
 use rand::RngCore;
-
-/// Derives the sub-seed for entity `index` under `base` — SplitMix64's
-/// output function over `base + index`, bit-compatible with the experiment
-/// registry's per-point seeding.
-#[inline]
-#[must_use]
-pub fn mix_seed(base: u64, index: u64) -> u64 {
-    let mut z = base ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// A SplitMix64 stream: tiny, fast, and statistically solid for the
 /// simulation's needs (entity selection, arrival jitter, size sampling).
@@ -88,24 +77,6 @@ impl RngCore for SplitMix64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mix_seed_matches_registry_constants() {
-        // Pinned values: moving them silently re-seeds every experiment.
-        // `mix_seed(0, 1)` is SplitMix64's first output from seed 0.
-        assert_eq!(mix_seed(0, 1), 0xE220_A839_7B1D_CDAF);
-        assert_eq!(mix_seed(7, 0), dcn_bench_mix(7, 0));
-        assert_ne!(mix_seed(1, 0), mix_seed(0, 1));
-    }
-
-    /// The experiment registry's per-point mixer, restated here so drift
-    /// between the two is caught at test time.
-    fn dcn_bench_mix(seed: u64, salt: u64) -> u64 {
-        let mut z = seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
 
     #[test]
     fn streams_are_independent_of_sibling_count() {

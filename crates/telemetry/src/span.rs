@@ -263,13 +263,17 @@ mod tests {
         crate::set_enabled(true);
         let root = SpanGuard::enter("span.test.cross.root");
         let root_id = root.id();
+        // An explicit join waits for the thread's exit-time flush; the
+        // scope's implicit wait can return before it.
         std::thread::scope(|s| {
             s.spawn(|| {
                 let _child = SpanGuard::enter_under("span.test.cross.child", root_id);
                 // The thread-local stack still parents grandchildren
                 // under the cross-thread child.
                 let _grand = SpanGuard::enter("span.test.cross.grand");
-            });
+            })
+            .join()
+            .expect("span test thread");
         });
         drop(root);
         crate::set_enabled(false);
@@ -292,10 +296,17 @@ mod tests {
         let _lock = crate::test_guard();
         crate::set_enabled(true);
         std::thread::scope(|s| {
-            for _ in 0..3 {
-                s.spawn(|| {
-                    let _g = SpanGuard::enter("span.test.worker");
-                });
+            let workers: Vec<_> = (0..3)
+                .map(|_| {
+                    s.spawn(|| {
+                        let _g = SpanGuard::enter("span.test.worker");
+                    })
+                })
+                .collect();
+            // Joined explicitly, like the `drain_spans` docs ask: the
+            // scope's implicit wait can return before the exit flush.
+            for w in workers {
+                w.join().expect("span test thread");
             }
         });
         crate::set_enabled(false);

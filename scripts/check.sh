@@ -5,6 +5,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Every gate's temp dirs go on one list, removed however the script exits.
+CLEANUP=()
+trap 'rm -rf "${CLEANUP[@]}"' EXIT
+
 echo "== cargo fmt --check"
 cargo fmt --check
 
@@ -38,7 +42,7 @@ fi
 echo "== experiments tiny sweep (exit 0, nonzero rows, thread-count determinism)"
 EXP_A="$(mktemp -d)"
 EXP_B="$(mktemp -d)"
-trap 'rm -rf "$EXP_A" "$EXP_B"' EXIT
+CLEANUP+=("$EXP_A" "$EXP_B")
 "$CLI" experiments run --all --preset tiny --threads 1 --json "$EXP_A" >/dev/null
 "$CLI" experiments run --all --preset tiny --json "$EXP_B" >/dev/null
 for rows in "$EXP_A"/*.json; do
@@ -62,7 +66,7 @@ fi
 echo "== arena gate (7-family report, 1-vs-4-thread determinism, jellyfish digest)"
 ARENA_A="$(mktemp -d)"
 ARENA_B="$(mktemp -d)"
-trap 'rm -rf "$EXP_A" "$EXP_B" "$ARENA_A" "$ARENA_B"' EXIT
+CLEANUP+=("$ARENA_A" "$ARENA_B")
 "$CLI" experiments run arena --preset tiny --threads 1 --json "$ARENA_A" >"$ARENA_A/stdout.txt" 2>/dev/null
 "$CLI" experiments run arena --preset tiny --threads 4 --json "$ARENA_B" >"$ARENA_B/stdout.txt" 2>/dev/null
 if ! cmp -s "$ARENA_A/stdout.txt" "$ARENA_B/stdout.txt"; then
@@ -96,7 +100,7 @@ fi
 echo "== traffic gate (scenario sweep 1-vs-4-thread determinism, pinned incast digest)"
 TRAF_A="$(mktemp -d)"
 TRAF_B="$(mktemp -d)"
-trap 'rm -rf "$EXP_A" "$EXP_B" "$ARENA_A" "$ARENA_B" "$TRAF_A" "$TRAF_B"' EXIT
+CLEANUP+=("$TRAF_A" "$TRAF_B")
 "$CLI" experiments run traffic_arena --preset tiny --threads 1 --json "$TRAF_A" >"$TRAF_A/stdout.txt" 2>/dev/null
 "$CLI" experiments run traffic_arena --preset tiny --threads 4 --json "$TRAF_B" >"$TRAF_B/stdout.txt" 2>/dev/null
 if ! cmp -s "$TRAF_A/stdout.txt" "$TRAF_B/stdout.txt"; then
@@ -127,7 +131,7 @@ echo "== fib gate (compile+query smoke, equivalence suite, shard-count determini
 cargo test -q -p dcn-fib --test equivalence --offline
 FIB_A="$(mktemp -d)"
 FIB_B="$(mktemp -d)"
-trap 'rm -rf "$EXP_A" "$EXP_B" "$FIB_A" "$FIB_B"' EXIT
+CLEANUP+=("$FIB_A" "$FIB_B")
 FIB_BENCH=(fib bench 2 2 2 --queries 2000 --fail-rate 0.1)
 "$CLI" "${FIB_BENCH[@]}" --shards 1 --digest "$FIB_A/digest.json" >/dev/null
 "$CLI" "${FIB_BENCH[@]}" --shards 8 --digest "$FIB_B/digest.json" >/dev/null
@@ -142,7 +146,7 @@ echo "== scale gate (streaming build, hier-vs-dense digest, estimator determinis
 # the layout field, so the two runs must agree byte for byte.
 SCALE_A="$(mktemp -d)"
 SCALE_B="$(mktemp -d)"
-trap 'rm -rf "$EXP_A" "$EXP_B" "$FIB_A" "$FIB_B" "$SCALE_A" "$SCALE_B"' EXIT
+CLEANUP+=("$SCALE_A" "$SCALE_B")
 SCALE_BENCH=(fib bench 8 2 2 --queries 2000 --fail-rate 0.05)
 "$CLI" "${SCALE_BENCH[@]}" --layout dense --digest "$SCALE_A/digest.json" >/dev/null
 "$CLI" "${SCALE_BENCH[@]}" --layout hier --digest "$SCALE_B/digest.json" >/dev/null
@@ -187,7 +191,7 @@ fi
 # the same (connections, batch) combo at different shard counts must
 # reproduce the same digest (seeds derive from the combo, not the point).
 SERVE_EXP="$(mktemp -d)"
-trap 'rm -rf "$EXP_A" "$EXP_B" "$ARENA_A" "$ARENA_B" "$TRAF_A" "$TRAF_B" "$FIB_A" "$FIB_B" "$SCALE_A" "$SCALE_B" "$SERVE_EXP"' EXIT
+CLEANUP+=("$SERVE_EXP")
 "$CLI" experiments run route_server --preset tiny --json "$SERVE_EXP" >/dev/null
 SERVE_DIGESTS="$(grep -o '"digest": "[^"]*"' "$SERVE_EXP/route_server.json" | sort | uniq -c | awk '{print $1}' | sort -u)"
 if [ "$SERVE_DIGESTS" != "2" ]; then
@@ -200,7 +204,7 @@ echo "== perf sentinel (record + self-diff exits 0, causal trace valid + stable)
 # against baselines recorded seconds earlier must find zero regressions,
 # or the noise gates are mistuned.
 PERF_DIR="$(mktemp -d)"
-trap 'rm -rf "$EXP_A" "$EXP_B" "$FIB_A" "$FIB_B" "$SCALE_A" "$SCALE_B" "$PERF_DIR"' EXIT
+CLEANUP+=("$PERF_DIR")
 SENTINEL=(table1_properties fig7_faults --preset tiny --runs 2 --baselines "$PERF_DIR/baselines")
 "$CLI" perf record "${SENTINEL[@]}" >/dev/null
 if ! "$CLI" perf diff "${SENTINEL[@]}" >/dev/null; then

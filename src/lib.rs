@@ -9,8 +9,7 @@
 //! * [`dcn_baselines`] — BCube, BCCC, DCell, fat-tree, hypercube;
 //! * [`netgraph`] — the graph substrate (BFS, max-flow, disjoint paths);
 //! * [`dcn_metrics`] — diameter/bisection/CAPEX/expansion metrics;
-//! * [`dcn_sim`] — the unified traffic engine (fluid + packet fidelity;
-//!   `flowsim`/`packetsim` are compatibility shims over it);
+//! * [`dcn_sim`] — the unified traffic engine (fluid + packet fidelity);
 //! * [`dcn_workloads`] — traffic patterns, failure generators, and the
 //!   production scenario library;
 //! * [`dcn_fib`] — compiled forwarding tables + the route-query service.
@@ -34,9 +33,7 @@ pub use dcn_fib;
 pub use dcn_metrics;
 pub use dcn_sim;
 pub use dcn_workloads;
-pub use flowsim;
 pub use netgraph;
-pub use packetsim;
 
 /// The common imports for examples and quick experiments.
 pub mod prelude {
