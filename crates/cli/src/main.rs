@@ -186,21 +186,23 @@ const USAGE: &str = "usage:
                                              seeded fault campaign with degradation
                                              report (any family; non-ABCCC specs run
                                              on their native routing plane)
-  abccc-cli fib compile <spec>|<n> <k> <h> [--layout dense|hier]
+  abccc-cli fib compile <spec>|<n> <k> <h> [--layout hier|dense]
                                              compile the forwarding table, print stats
-  abccc-cli fib query   <spec>|<n> <k> <h> <src> <dst> [--shards N] [--layout dense|hier]
+                                             (fib/serve/loadgen: --layout defaults to
+                                             hier; dense expands it to all N² pairs)
+  abccc-cli fib query   <spec>|<n> <k> <h> <src> <dst> [--shards N] [--layout hier|dense]
       [--fail-rate R] [--fail-seed S]        answer one query from the compiled table
   abccc-cli fib bench   <spec>|<n> <k> <h> [--queries N] [--seed N] [--shards N]
-      [--fail-rate R] [--layout dense|hier] [--digest FILE]
+      [--fail-rate R] [--layout hier|dense] [--digest FILE]
                                              batched route-service throughput; --digest
                                              writes a deterministic result digest (JSON)
-  abccc-cli serve  <spec>|<n> <k> <h> [--port P] [--shards N] [--layout dense|hier]
+  abccc-cli serve  <spec>|<n> <k> <h> [--port P] [--shards N] [--layout hier|dense]
       [--max-inflight N] [--max-batch N]      serve the compiled FIB over TCP
                                              (127.0.0.1, --port 0 = ephemeral; prints
                                              the bound address, runs until stdin EOF,
                                              then drains and exits 0)
   abccc-cli loadgen <spec>|<n> <k> <h> [--connections N] [--frames N] [--batch N]
-      [--window N] [--seed N] [--shards N] [--layout dense|hier]
+      [--window N] [--seed N] [--shards N] [--layout hier|dense]
                                              loopback load generator: spawn a server,
                                              drive it, report throughput + RTT
                                              quantiles + the deterministic digest
@@ -1013,20 +1015,13 @@ fn fib_cmd(args: &[String], json: bool) -> Result<(), String> {
             .transpose()
             .map(|v| v.unwrap_or(default))
     };
-    let shards = num("--shards", 8)? as usize;
     let fail_rate = fnum("--fail-rate", 0.0)?;
     let fail_seed = num("--fail-seed", 0)?;
-    let layout = match flag_value(rest, "--layout") {
-        None => dcn_fib::FibLayout::Dense,
-        Some(s) => dcn_fib::FibLayout::parse(&s)
-            .ok_or_else(|| format!("unknown layout `{s}` (dense|hier)"))?,
-    };
 
     let build_service = || -> Result<(RouteService, f64), String> {
         let topo = Abccc::new(p).map_err(|e| e.to_string())?;
         let t0 = std::time::Instant::now();
-        let mut svc =
-            RouteService::compile_with_layout(topo, layout, shards).map_err(|e| e.to_string())?;
+        let mut svc = compile_service(rest, topo)?;
         let compile_ms = t0.elapsed().as_secs_f64() * 1e3;
         if fail_rate > 0.0 {
             let mask = FaultScenario::seeded(fail_seed)
@@ -1265,18 +1260,18 @@ fn parse_abccc_head(rest: &[String], what: &str) -> Result<AbcccParams, String> 
     }
 }
 
-/// Compiles a route service for `serve`/`loadgen` from the shared flags.
-fn compile_for_serving(rest: &[String], p: AbcccParams) -> Result<dcn_fib::RouteService, String> {
+/// Compiles the route service of `fib`, `serve` and `loadgen` from their
+/// shared `--shards` (default 8) and `--layout` (default hier) flags.
+fn compile_service(rest: &[String], topo: Abccc) -> Result<dcn_fib::RouteService, String> {
     let shards: usize = match flag_value(rest, "--shards") {
         None => 8,
         Some(s) => s.parse().map_err(|_| "--shards expects a number")?,
     };
     let layout = match flag_value(rest, "--layout") {
-        None => dcn_fib::FibLayout::Dense,
+        None => dcn_fib::FibLayout::Hier,
         Some(s) => dcn_fib::FibLayout::parse(&s)
-            .ok_or_else(|| format!("unknown layout `{s}` (dense|hier)"))?,
+            .ok_or_else(|| format!("unknown layout `{s}` (hier|dense)"))?,
     };
-    let topo = Abccc::new(p).map_err(|e| e.to_string())?;
     dcn_fib::RouteService::compile_with_layout(topo, layout, shards).map_err(|e| e.to_string())
 }
 
@@ -1296,7 +1291,7 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
     };
     cfg.max_inflight = num("--max-inflight", cfg.max_inflight as u64)? as usize;
     cfg.max_batch = num("--max-batch", cfg.max_batch as u64)? as usize;
-    let svc = compile_for_serving(args, p)?;
+    let svc = compile_service(args, Abccc::new(p).map_err(|e| e.to_string())?)?;
     let servers = svc.table().servers();
     let shards = svc.shard_count();
     let server = RouteServer::spawn(svc, cfg).map_err(|e| format!("bind: {e}"))?;
@@ -1333,7 +1328,7 @@ fn loadgen_cmd(args: &[String], json: bool) -> Result<(), String> {
         window: num("--window", defaults.window as u64)? as usize,
         seed: num("--seed", defaults.seed)?,
     };
-    let svc = compile_for_serving(args, p)?;
+    let svc = compile_service(args, Abccc::new(p).map_err(|e| e.to_string())?)?;
     let shards = svc.shard_count();
     let (report, drain) =
         run_loopback(svc, ServeConfig::default(), &cfg).map_err(|e| e.to_string())?;

@@ -373,7 +373,7 @@ fn fib_compile_reports_table_stats() {
     let out = stdout(&["fib", "compile", "2", "2", "2"]);
     assert!(out.contains("compiled forwarding table"));
     assert!(out.contains("strategy     destination-aware"));
-    assert!(out.contains("layout       dense"));
+    assert!(out.contains("layout       hier")); // the default layout
     assert!(out.contains("servers      24"));
 }
 
@@ -399,7 +399,9 @@ fn fib_accepts_abccc_specs_only() {
 
 #[test]
 fn fib_compile_hier_layout_is_smaller() {
-    let dense = stdout(&["--json", "fib", "compile", "2", "2", "2"]);
+    let dense = stdout(&[
+        "--json", "fib", "compile", "2", "2", "2", "--layout", "dense",
+    ]);
     let hier = stdout(&[
         "--json", "fib", "compile", "2", "2", "2", "--layout", "hier",
     ]);

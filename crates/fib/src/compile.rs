@@ -29,9 +29,8 @@
 //! *original* source and is the one strategy without the property; the
 //! compiler rejects it.
 
-use abccc::{Abccc, PermStrategy, ServerAddr, SwitchAddr};
-use netgraph::{Network, NodeId, Route, Topology};
-use std::sync::Mutex;
+use abccc::{Abccc, AbcccParams, PermStrategy};
+use netgraph::{Network, NodeId, Route};
 
 /// Sentinel for the diagonal entries (`src == dst`): never dereferenced,
 /// a walk terminates before reading it.
@@ -64,12 +63,14 @@ pub enum FibError {
         /// Label of the strategy the table was compiled with.
         strategy: &'static str,
     },
-    /// The table was compiled for a different topology size.
+    /// The table was compiled for a different topology. Equal server
+    /// counts are not enough: ABCCC(2,3,3) and ABCCC(4,1,2) both have 32
+    /// servers but share no address layout.
     TopologyMismatch {
-        /// Servers the table covers.
-        fib_servers: u32,
-        /// Servers of the topology the service was given.
-        topo_servers: u64,
+        /// Parameters the table was compiled for.
+        table: AbcccParams,
+        /// Parameters of the topology the service was given.
+        topo: AbcccParams,
     },
 }
 
@@ -89,38 +90,30 @@ impl std::fmt::Display for FibError {
                 "RouteService needs a destination-aware table for its resilient \
                  fallback contract, got `{strategy}`"
             ),
-            FibError::TopologyMismatch {
-                fib_servers,
-                topo_servers,
-            } => write!(
-                f,
-                "table compiled for {fib_servers} servers, topology has {topo_servers}"
-            ),
+            FibError::TopologyMismatch { table, topo } => {
+                write!(f, "table compiled for {table}, topology is {topo}")
+            }
         }
     }
 }
 
 impl std::error::Error for FibError {}
 
-/// Compiles [`DigitRouter`] decisions into a [`Fib`].
+/// Compiles [`DigitRouter`] decisions into forwarding tables.
 ///
-/// The sweep parallelizes over destinations with
-/// [`netgraph::par::map_indexed`]; each destination's slab is a disjoint
-/// slice of the flat table, filled in place, so assembly needs no
-/// reordering.
+/// The hierarchical table ([`FibCompiler::compile_hier`]) is the one
+/// place a next hop is decided; the dense table
+/// ([`FibCompiler::compile`]) is that table expanded to every
+/// `(server, destination)` pair.
 #[derive(Debug, Clone, Copy)]
 pub struct FibCompiler {
     strategy: PermStrategy,
-    threads: usize,
 }
 
 impl FibCompiler {
     /// A compiler lowering `strategy`'s correction orders.
     pub fn new(strategy: PermStrategy) -> Self {
-        FibCompiler {
-            strategy,
-            threads: 0,
-        }
+        FibCompiler { strategy }
     }
 
     /// The default compiler: [`PermStrategy::DestinationAware`], the
@@ -130,15 +123,9 @@ impl FibCompiler {
         FibCompiler::new(PermStrategy::DestinationAware)
     }
 
-    /// Sets the worker-thread count (`0` = all available cores). Never
-    /// changes the produced table, only how fast it compiles.
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Compiles the full `(server, destination)` next-hop table for `topo`.
+    /// Compiles the full `(server, destination)` next-hop table for `topo`
+    /// by expanding the hierarchical one: `entries[d·N + u]` is
+    /// `hier.ports(u, d)`. O(N²) on the calling thread.
     ///
     /// # Errors
     ///
@@ -147,51 +134,23 @@ impl FibCompiler {
     /// * [`FibError::PortOverflow`] — a node degree exceeds the 16-bit port
     ///   field (not reachable for valid ABCCC parameters, checked anyway).
     pub fn compile(&self, topo: &Abccc) -> Result<Fib, FibError> {
-        if let PermStrategy::Random(_) = self.strategy {
-            return Err(FibError::UnsupportedStrategy {
-                strategy: self.strategy.label(),
-            });
-        }
-        let net = topo.network();
-        for node in net.node_ids() {
-            if net.degree(node) > usize::from(u16::MAX) {
-                return Err(FibError::PortOverflow {
-                    node,
-                    degree: net.degree(node),
-                });
-            }
-        }
-
         let _span = dcn_telemetry::span!("fib.compile");
-        let p = *topo.params();
-        let servers = p.server_count() as usize;
-        let strategy = self.strategy;
-        let mut entries = vec![SELF; servers * servers];
-        {
-            // Each destination's slab is a disjoint &mut slice of the one
-            // flat table, filled in place by whichever worker claims it.
-            let slabs: Mutex<Vec<Option<&mut [u32]>>> =
-                Mutex::new(entries.chunks_mut(servers).map(Some).collect());
-            netgraph::par::map_indexed(
-                servers,
-                self.threads,
-                || (),
-                |(), d| {
-                    let slab = slabs.lock().expect("slab list")[d]
-                        .take()
-                        .expect("each slab taken once");
-                    fill_slab(&p, net, strategy, d as u32, slab);
-                },
-                drop,
+        let hier = crate::hier::build(self.strategy, topo)?;
+        let servers = hier.servers();
+        let mut entries = Vec::with_capacity(servers as usize * servers as usize);
+        for d in 0..servers {
+            entries.extend(
+                (0..servers).map(|u| match hier.ports(NodeId(u), NodeId(d)) {
+                    Some((sport, wport)) => u32::from(sport) << 16 | u32::from(wport),
+                    None => SELF,
+                }),
             );
         }
-
         let fib = Fib {
-            strategy,
-            servers: servers as u32,
-            // Worst-case node count of any strategy's route: 4 nodes per
-            // corrected level plus the final crossbar pair plus the source.
-            max_nodes: 4 * p.levels() + 3,
+            strategy: self.strategy,
+            params: *hier.params(),
+            servers,
+            max_nodes: hier.max_nodes(),
             entries,
         };
         dcn_telemetry::counter!("fib.compiles").inc();
@@ -201,67 +160,13 @@ impl FibCompiler {
 
     /// Compiles the hierarchical digit-structured table for `topo` —
     /// the same lookups as [`FibCompiler::compile`] at
-    /// `O(V·levels + E)` memory instead of `O(V²)`. O(E) single-threaded
-    /// (the [`threads`](FibCompiler::threads) knob is irrelevant at that
-    /// cost).
+    /// `O(V·levels + E)` memory instead of `O(V²)`, in O(E) time.
     ///
     /// # Errors
     ///
     /// Same as [`FibCompiler::compile`].
     pub fn compile_hier(&self, topo: &Abccc) -> Result<crate::HierFib, FibError> {
         crate::hier::compile(self.strategy, topo)
-    }
-}
-
-/// Fills the next-hop slab of destination `d`: for every source server,
-/// the first two hops of the strategy's route, packed as ports.
-fn fill_slab(
-    p: &abccc::AbcccParams,
-    net: &Network,
-    strategy: PermStrategy,
-    d: u32,
-    slab: &mut [u32],
-) {
-    let sd = ServerAddr::from_node_id(p, NodeId(d));
-    for (u, entry) in slab.iter_mut().enumerate() {
-        let u = u as u32;
-        if u == d {
-            *entry = SELF;
-            continue;
-        }
-        let su = ServerAddr::from_node_id(p, NodeId(u));
-        let order = strategy.order(p, su, sd);
-        let (via, next) = if let Some(&level) = order.first() {
-            let owner = p.owner(level);
-            if su.pos == owner {
-                // Correct the first digit through the owned level switch.
-                let sw = SwitchAddr::Level {
-                    level,
-                    rest: su.label.rest_index(p, level),
-                };
-                let corrected = su.label.with_digit(p, level, sd.label.digit(p, level));
-                (
-                    sw.node_id(p),
-                    ServerAddr::new(p, corrected, owner).node_id(p),
-                )
-            } else {
-                // Reach the owner through the group crossbar first.
-                (
-                    SwitchAddr::Crossbar(su.label).node_id(p),
-                    ServerAddr::new(p, su.label, owner).node_id(p),
-                )
-            }
-        } else {
-            // Same label, different position: one crossbar hop finishes.
-            (SwitchAddr::Crossbar(su.label).node_id(p), NodeId(d))
-        };
-        let sport = net
-            .port_of(NodeId(u), via)
-            .expect("fib: server adjacent to its next-hop switch");
-        let wport = net
-            .port_of(via, next)
-            .expect("fib: switch adjacent to the next server");
-        *entry = (sport as u32) << 16 | wport as u32;
     }
 }
 
@@ -273,6 +178,7 @@ fn fill_slab(
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fib {
     strategy: PermStrategy,
+    params: AbcccParams,
     servers: u32,
     max_nodes: u32,
     /// `entries[dst * servers + src]`, destination-major so one walk stays
@@ -284,6 +190,11 @@ impl Fib {
     /// The strategy the table was compiled from.
     pub fn strategy(&self) -> PermStrategy {
         self.strategy
+    }
+
+    /// The parameters of the topology the table was compiled for.
+    pub fn params(&self) -> &AbcccParams {
+        &self.params
     }
 
     /// Number of servers the table covers.
@@ -373,7 +284,7 @@ impl Fib {
     }
 }
 
-/// Convenience: compiles the shortest-path table with default threading —
+/// Convenience: compiles the shortest-path table in the dense layout —
 /// what [`DigitRouter::shortest`] computes per query, amortized once.
 ///
 /// # Errors
@@ -399,11 +310,61 @@ pub fn compile_shortest_hier(topo: &Abccc) -> Result<crate::HierFib, FibError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use abccc::{AbcccParams, DigitRouter};
+    use crate::{FibLayout, FibTable};
+    use abccc::{DigitRouter, ServerAddr, SwitchAddr};
     use netgraph::Topology;
+
+    /// The strategies with suffix-stable orders, i.e. every compilable one.
+    const DETERMINISTIC: [PermStrategy; 5] = [
+        PermStrategy::DestinationAware,
+        PermStrategy::CyclicFromSource,
+        PermStrategy::Ascending,
+        PermStrategy::Descending,
+        PermStrategy::Greedy,
+    ];
+
+    /// Small sizes covering crossbar groups (m > 1) and the BCube endpoint
+    /// (m = 1, no crossbars).
+    const SIZES: [(u32, u32, u32); 4] = [(2, 2, 2), (3, 1, 2), (2, 3, 3), (3, 1, 3)];
 
     fn topo(n: u32, k: u32, h: u32) -> Abccc {
         Abccc::new(AbcccParams::new(n, k, h).unwrap()).unwrap()
+    }
+
+    /// The next-hop oracle, independent of both layouts: the first two hops
+    /// of `strategy.order`'s route out of `u` toward `d`, as ports.
+    fn oracle_ports(t: &Abccc, strategy: PermStrategy, u: NodeId, d: NodeId) -> Option<(u16, u16)> {
+        if u == d {
+            return None;
+        }
+        let p = t.params();
+        let net = t.network();
+        let su = ServerAddr::from_node_id(p, u);
+        let sd = ServerAddr::from_node_id(p, d);
+        let (via, next) = match strategy.order(p, su, sd).first() {
+            Some(&level) if su.pos == p.owner(level) => {
+                // Correct the first digit through the owned level switch.
+                let sw = SwitchAddr::Level {
+                    level,
+                    rest: su.label.rest_index(p, level),
+                };
+                let corrected = su.label.with_digit(p, level, sd.label.digit(p, level));
+                (
+                    sw.node_id(p),
+                    ServerAddr::new(p, corrected, su.pos).node_id(p),
+                )
+            }
+            // Reach the owner through the group crossbar first.
+            Some(&level) => (
+                SwitchAddr::Crossbar(su.label).node_id(p),
+                ServerAddr::new(p, su.label, p.owner(level)).node_id(p),
+            ),
+            // Same label, different position: one crossbar hop finishes.
+            None => (SwitchAddr::Crossbar(su.label).node_id(p), d),
+        };
+        let sport = net.port_of(u, via).expect("server adjacent to its switch");
+        let wport = net.port_of(via, next).expect("switch adjacent to next");
+        Some((sport as u16, wport as u16))
     }
 
     #[test]
@@ -415,18 +376,39 @@ mod tests {
     }
 
     #[test]
+    fn both_layouts_match_the_order_oracle_exhaustively() {
+        for (n, k, h) in SIZES {
+            let t = topo(n, k, h);
+            let servers = t.params().server_count() as u32;
+            for strategy in DETERMINISTIC {
+                for layout in [FibLayout::Dense, FibLayout::Hier] {
+                    let table = FibTable::compile(strategy, layout, &t).unwrap();
+                    assert_eq!(table.layout(), layout);
+                    assert_eq!(table.strategy(), strategy);
+                    assert_eq!(table.params(), t.params());
+                    assert_eq!(table.servers(), servers);
+                    for s in 0..servers {
+                        for d in 0..servers {
+                            assert_eq!(
+                                table.ports(NodeId(s), NodeId(d)),
+                                oracle_ports(&t, strategy, NodeId(s), NodeId(d)),
+                                "ABCCC({n},{k},{h}) {} {layout} {s}->{d}",
+                                strategy.label()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn walks_match_on_demand_routes_for_every_deterministic_strategy() {
-        for (n, k, h) in [(2, 2, 2), (3, 1, 2), (2, 3, 3), (3, 1, 3)] {
+        for (n, k, h) in SIZES {
             let t = topo(n, k, h);
             let p = *t.params();
             let net = t.network();
-            for strategy in [
-                PermStrategy::DestinationAware,
-                PermStrategy::CyclicFromSource,
-                PermStrategy::Ascending,
-                PermStrategy::Descending,
-                PermStrategy::Greedy,
-            ] {
+            for strategy in DETERMINISTIC {
                 let fib = FibCompiler::new(strategy).compile(&t).unwrap();
                 let router = DigitRouter::new(strategy);
                 for s in 0..p.server_count() as u32 {
@@ -447,14 +429,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn thread_count_never_changes_the_table() {
-        let t = topo(2, 2, 2);
-        let one = FibCompiler::shortest().threads(1).compile(&t).unwrap();
-        let many = FibCompiler::shortest().threads(7).compile(&t).unwrap();
-        assert_eq!(one, many);
     }
 
     #[test]

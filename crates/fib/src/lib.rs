@@ -6,21 +6,21 @@
 //! This crate does the same for the ABCCC stack:
 //!
 //! * [`FibCompiler`] lowers a deterministic
-//!   [`PermStrategy`](abccc::PermStrategy) into a flat, destination-major
-//!   table of packed `u32` port pairs — one entry per
-//!   `(source server, destination server)` — compiled in parallel over
-//!   destinations by [`netgraph::par::map_indexed`].
-//!   The correctness of per-server tables rests on the **suffix
-//!   property** of the deterministic digit-correction strategies (see
-//!   the module docs of the compiler); the seeded `Random` strategy
-//!   lacks it and is rejected at compile time.
-//! * [`Fib`] is the immutable compiled artifact in the **dense** layout:
-//!   O(1) per-hop lookups, `4·N²` bytes for `N` servers, safely shareable
-//!   across threads. [`HierFib`] is the same contract in the
-//!   **hierarchical digit-structured** layout — per-level sub-tables
-//!   keyed by address digits at `O(N·levels + E)` bytes, the layout that
-//!   breaks the O(V²) wall for 10⁵+-server instances (where a dense
-//!   table would need tens of gigabytes). [`FibTable`] holds either;
+//!   [`PermStrategy`](abccc::PermStrategy) into per-server next-hop
+//!   tables of egress-port pairs. The correctness of per-server tables
+//!   rests on the **suffix property** of the deterministic
+//!   digit-correction strategies (see the module docs of the compiler);
+//!   the seeded `Random` strategy lacks it and is rejected at compile
+//!   time.
+//! * [`HierFib`] is the compiled artifact in the **hierarchical
+//!   digit-structured** layout, and the default: per-level sub-tables
+//!   keyed by address digits at `O(N·levels + E)` bytes, compiled in
+//!   O(E). It is the one table that decides a next hop, and the layout
+//!   that breaks the O(V²) wall for 10⁵+-server instances. [`Fib`] is
+//!   the **dense** layout, that table expanded to one packed `u32` per
+//!   `(source, destination)` pair on the calling thread: O(1) per-hop
+//!   lookups at `4·N²` bytes and an O(N²) compile. Both are immutable
+//!   and safely shareable across threads. [`FibTable`] holds either;
 //!   [`FibLayout`] names the choice.
 //! * [`RouteService`] is the query front end: single and batched
 //!   src→dst lookups, a lock-free healthy hot path, and per-shard patch

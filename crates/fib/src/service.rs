@@ -1,13 +1,13 @@
 //! The sharded concurrent route-query service.
 //!
-//! [`RouteService`] answers src→dst queries from a compiled [`Fib`]. The
-//! healthy hot path is lock-free: a table walk over an immutable slab,
-//! nothing shared but reads. Under an installed fault mask the walk
-//! additionally checks liveness per hop; only when the compiled route is
-//! actually broken does the query fall back to a full
-//! [`ResilientRouter`] recomputation, whose outcome is memoized in a
-//! per-shard patch cache so each broken pair pays the escalation ladder
-//! once.
+//! [`RouteService`] answers src→dst queries from a compiled [`FibTable`]
+//! (the hierarchical layout unless the caller picks dense). The healthy
+//! hot path is lock-free: a walk over immutable tables, nothing shared but
+//! reads. Under an installed fault mask the walk additionally checks
+//! liveness per hop; only when the compiled route is actually broken does
+//! the query fall back to a full [`ResilientRouter`] recomputation, whose
+//! outcome is memoized in a per-shard patch cache so each broken pair pays
+//! the escalation ladder once.
 //!
 //! # Equivalence contract (pinned by the property tests)
 //!
@@ -31,7 +31,7 @@
 //! can only stay that way. Any *repair* (non-superset mask) clears all
 //! patches — cheap, because the compiled table itself never recompiles.
 
-use crate::compile::{Fib, FibCompiler, FibError};
+use crate::compile::FibError;
 use crate::table::{FibLayout, FibTable};
 use abccc::router::{check_endpoints, pair_seed};
 use abccc::vlb::route_two_stage_with;
@@ -39,6 +39,7 @@ use abccc::{Abccc, PermStrategy, ResilientRouter, RetryBudget, RouteOutcome, Ser
 use netgraph::{FaultMask, FaultScenario, NodeId, Route, RouteError, Topology};
 use rand::SeedableRng;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// What [`RouteService::apply_mask`] did to the patch caches.
@@ -53,16 +54,32 @@ pub struct InvalidationReport {
     pub dropped: usize,
 }
 
+type Patches = HashMap<(u32, u32), Result<RouteOutcome, RouteError>>;
+
 /// One shard: a mutex-guarded memo of fallback outcomes for the pairs
 /// hashed to it. Shards only serialize queries *within* a shard, and only
 /// on the (already expensive) fallback path.
 #[derive(Debug, Default)]
 struct Shard {
-    patches: Mutex<HashMap<(u32, u32), Result<RouteOutcome, RouteError>>>,
+    patches: Mutex<Patches>,
+    /// `patches.len()`, stored under the lock after every change, so
+    /// [`RouteService::patch_count`] sums shards without locking them.
+    len: AtomicUsize,
+}
+
+impl Shard {
+    /// Runs `f` on the locked cache, then republishes its length.
+    fn update<R>(&self, f: impl FnOnce(&mut Patches) -> R) -> R {
+        let mut patches = self.patches.lock().expect("patch cache");
+        let out = f(&mut patches);
+        // Relaxed: the count is a statistic and publishes no other data.
+        self.len.store(patches.len(), Ordering::Relaxed);
+        out
+    }
 }
 
 /// A sharded, concurrently-queryable forwarding plane over a compiled
-/// [`Fib`] (see the module docs for the equivalence and invalidation
+/// [`FibTable`] (see the module docs for the equivalence and invalidation
 /// contracts).
 #[derive(Debug)]
 pub struct RouteService {
@@ -74,36 +91,27 @@ pub struct RouteService {
 }
 
 impl RouteService {
-    /// Builds a service over an already-compiled dense table. `shards` is
-    /// rounded up to a power of two and clamped to `[1, 1024]`.
+    /// Builds a service over an already-compiled table in either layout.
+    /// Every contract (equivalence, invalidation, batch ordering) is
+    /// layout-independent: both layouts answer lookups bit-identically.
+    /// `shards` is rounded up to a power of two and clamped to `[1, 1024]`.
     ///
     /// # Errors
     ///
     /// * [`FibError::ServiceRequiresShortest`] — the table is not
     ///   destination-aware (see the equivalence contract);
-    /// * [`FibError::TopologyMismatch`] — the table covers a different
-    ///   server count than `topo`.
-    pub fn new(topo: Abccc, fib: Fib, shards: usize) -> Result<Self, FibError> {
-        RouteService::with_table(topo, FibTable::Dense(fib), shards)
-    }
-
-    /// Builds a service over an already-compiled table in either layout.
-    /// Every contract (equivalence, invalidation, batch ordering) is
-    /// layout-independent: both layouts answer lookups bit-identically.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RouteService::new`].
+    /// * [`FibError::TopologyMismatch`] — the table was compiled for other
+    ///   parameters than `topo`'s.
     pub fn with_table(topo: Abccc, table: FibTable, shards: usize) -> Result<Self, FibError> {
         if table.strategy() != PermStrategy::DestinationAware {
             return Err(FibError::ServiceRequiresShortest {
                 strategy: table.strategy().label(),
             });
         }
-        if u64::from(table.servers()) != topo.params().server_count() {
+        if table.params() != topo.params() {
             return Err(FibError::TopologyMismatch {
-                fib_servers: table.servers(),
-                topo_servers: topo.params().server_count(),
+                table: *table.params(),
+                topo: *topo.params(),
             });
         }
         let shard_count = shards.clamp(1, 1024).next_power_of_two();
@@ -116,21 +124,22 @@ impl RouteService {
         })
     }
 
-    /// Compiles the destination-aware table for `topo` in the dense layout
-    /// and wraps it in a service — the one-call entry point.
+    /// Compiles the destination-aware table for `topo` in the hierarchical
+    /// layout and wraps it in a service — the one-call entry point. The
+    /// compile is O(E), so a service starts in milliseconds at any size.
     ///
     /// # Errors
     ///
-    /// Propagates [`FibCompiler::compile`] and [`RouteService::new`]
-    /// failures.
+    /// Propagates [`FibCompiler::compile_hier`](crate::FibCompiler::compile_hier)
+    /// and [`RouteService::with_table`] failures.
     pub fn compile(topo: Abccc, shards: usize) -> Result<Self, FibError> {
-        let fib = FibCompiler::shortest().compile(&topo)?;
-        RouteService::new(topo, fib, shards)
+        RouteService::compile_with_layout(topo, FibLayout::Hier, shards)
     }
 
     /// Compiles the destination-aware table for `topo` in the requested
-    /// layout and wraps it in a service. At 10⁵+ servers, only
-    /// [`FibLayout::Hier`] is practical — the dense table is `4·N²` bytes.
+    /// layout and wraps it in a service. [`FibLayout::Dense`] costs an
+    /// O(N²) compile and `4·N²` bytes; at 10⁵+ servers only
+    /// [`FibLayout::Hier`] is practical.
     ///
     /// # Errors
     ///
@@ -174,11 +183,12 @@ impl RouteService {
         self.shards.len()
     }
 
-    /// Cached fallback outcomes across all shards.
+    /// Cached fallback outcomes across all shards, summed without taking
+    /// any shard's lock.
     pub fn patch_count(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.patches.lock().expect("patch cache").len())
+            .map(|s| s.len.load(Ordering::Relaxed))
             .sum()
     }
 
@@ -241,11 +251,7 @@ impl RouteService {
         dcn_telemetry::counter!("fib.fallbacks").inc();
         let outcome =
             ResilientRouter::new(self.budget).route_explained(&self.topo, src, dst, Some(mask));
-        shard
-            .patches
-            .lock()
-            .expect("patch cache")
-            .insert((src.0, dst.0), outcome.clone());
+        shard.update(|patches| patches.insert((src.0, dst.0), outcome.clone()));
         dcn_telemetry::gauge!("fib.patch_entries").set(self.patch_count() as i64);
         outcome
     }
@@ -367,22 +373,23 @@ impl RouteService {
         if incremental {
             let net = self.topo.network();
             for shard in &self.shards {
-                let mut patches = shard.patches.lock().expect("patch cache");
-                patches.retain(|_, cached| {
-                    let keep = match cached {
-                        // Monotone: more faults cannot un-fail an error.
-                        Err(_) => true,
-                        // Still fully alive ⇒ recomputation would return
-                        // the identical outcome (earlier ladder candidates
-                        // stay rejected under a superset mask).
-                        Ok(out) => out.route.validate(net, Some(&mask)).is_ok(),
-                    };
-                    if keep {
-                        retained += 1;
-                    } else {
-                        dropped += 1;
-                    }
-                    keep
+                shard.update(|patches| {
+                    patches.retain(|_, cached| {
+                        let keep = match cached {
+                            // Monotone: more faults cannot un-fail an error.
+                            Err(_) => true,
+                            // Still fully alive ⇒ recomputation would return
+                            // the identical outcome (earlier ladder candidates
+                            // stay rejected under a superset mask).
+                            Ok(out) => out.route.validate(net, Some(&mask)).is_ok(),
+                        };
+                        if keep {
+                            retained += 1;
+                        } else {
+                            dropped += 1;
+                        }
+                        keep
+                    })
                 });
             }
         } else {
@@ -416,12 +423,7 @@ impl RouteService {
     fn clear_patches(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| {
-                let mut p = s.patches.lock().expect("patch cache");
-                let n = p.len();
-                p.clear();
-                n
-            })
+            .map(|s| s.update(|p| p.drain().count()))
             .sum()
     }
 }
@@ -439,22 +441,90 @@ mod tests {
     #[test]
     fn rejects_non_shortest_tables_and_size_mismatches() {
         let topo = Abccc::new(AbcccParams::new(2, 2, 2).unwrap()).unwrap();
-        let ascending = FibCompiler::new(PermStrategy::Ascending)
-            .compile(&topo)
-            .unwrap();
-        let topo2 = Abccc::new(AbcccParams::new(2, 2, 2).unwrap()).unwrap();
+        let ascending = FibTable::compile(PermStrategy::Ascending, FibLayout::Hier, &topo).unwrap();
         assert!(matches!(
-            RouteService::new(topo2, ascending, 4),
+            RouteService::with_table(topo.clone(), ascending, 4),
             Err(FibError::ServiceRequiresShortest { .. })
         ));
 
         let small = Abccc::new(AbcccParams::new(3, 1, 2).unwrap()).unwrap();
-        let small_fib = FibCompiler::shortest().compile(&small).unwrap();
-        let topo3 = Abccc::new(AbcccParams::new(2, 2, 2).unwrap()).unwrap();
+        let small_fib =
+            FibTable::compile(PermStrategy::DestinationAware, FibLayout::Dense, &small).unwrap();
         assert!(matches!(
-            RouteService::new(topo3, small_fib, 4),
+            RouteService::with_table(topo, small_fib, 4),
             Err(FibError::TopologyMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn rejects_a_table_of_another_topology_with_equal_server_count() {
+        // Both have 32 servers, but their addresses decode differently:
+        // serving one's table on the other used to panic mid-walk.
+        let a = Abccc::new(AbcccParams::new(2, 3, 3).unwrap()).unwrap();
+        let b = Abccc::new(AbcccParams::new(4, 1, 2).unwrap()).unwrap();
+        assert_eq!(a.params().server_count(), b.params().server_count());
+        for layout in [FibLayout::Dense, FibLayout::Hier] {
+            for (table_topo, served) in [(&a, &b), (&b, &a)] {
+                let table =
+                    FibTable::compile(PermStrategy::DestinationAware, layout, table_topo).unwrap();
+                let err = RouteService::with_table(served.clone(), table, 4).unwrap_err();
+                assert_eq!(
+                    err,
+                    FibError::TopologyMismatch {
+                        table: *table_topo.params(),
+                        topo: *served.params(),
+                    },
+                    "{layout}"
+                );
+                assert!(err.to_string().contains(&table_topo.params().to_string()));
+            }
+        }
+    }
+
+    #[test]
+    fn compile_serves_the_hier_layout() {
+        assert_eq!(service(2, 2, 2, 1).table().layout(), FibLayout::Hier);
+    }
+
+    /// `patch_count` read by locking every shard, the way it used to be.
+    fn locked_patch_count(svc: &RouteService) -> usize {
+        svc.shards
+            .iter()
+            .map(|s| s.patches.lock().expect("patch cache").len())
+            .sum()
+    }
+
+    #[test]
+    fn patch_count_tracks_the_maps_through_masks_repairs_and_clears() {
+        let mut svc = service(3, 2, 2, 4);
+        let servers = svc.topo().params().server_count() as u32;
+        let pairs: Vec<(NodeId, NodeId)> = (0..servers)
+            .flat_map(|s| (0..servers).step_by(7).map(move |d| (NodeId(s), NodeId(d))))
+            .collect();
+        let check = |svc: &RouteService, stage: &str| {
+            svc.query_batch(&pairs);
+            assert_eq!(svc.patch_count(), locked_patch_count(svc), "{stage}");
+        };
+        svc.apply_scenario(&FaultScenario::seeded(3).fail_servers_frac(0.05));
+        check(&svc, "first mask");
+        assert!(svc.patch_count() > 0, "the mask must force fallbacks");
+        let mut more = svc.mask().unwrap().clone();
+        more.fail_node(NodeId(servers)); // a switch: drops the patches through it
+        let report = svc.apply_mask(more);
+        assert!(report.incremental);
+        assert_eq!(
+            svc.patch_count(),
+            locked_patch_count(&svc),
+            "after superset"
+        );
+        check(&svc, "superset mask");
+        let report = svc.apply_scenario(&FaultScenario::seeded(4).fail_switches_frac(0.05));
+        assert!(!report.incremental);
+        assert_eq!(svc.patch_count(), 0, "a repair clears every patch");
+        check(&svc, "repaired mask");
+        svc.clear_faults();
+        assert_eq!(svc.patch_count(), 0);
+        assert_eq!(locked_patch_count(&svc), 0);
     }
 
     #[test]

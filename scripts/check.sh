@@ -40,9 +40,11 @@ if ! grep -q '"routed": [1-9]' <<<"$A"; then
 fi
 
 echo "== experiments tiny sweep (exit 0, nonzero rows, thread-count determinism)"
-EXP_A="$(mktemp -d)"
+# EXP_A doubles as the tiny half of the golden rows gate below.
+GOLDEN="$(mktemp -d)"
+EXP_A="$GOLDEN/tiny"
 EXP_B="$(mktemp -d)"
-CLEANUP+=("$EXP_A" "$EXP_B")
+CLEANUP+=("$GOLDEN" "$EXP_B")
 "$CLI" experiments run --all --preset tiny --threads 1 --json "$EXP_A" >/dev/null
 "$CLI" experiments run --all --preset tiny --json "$EXP_B" >/dev/null
 for rows in "$EXP_A"/*.json; do
@@ -60,6 +62,18 @@ done
 count="$(ls "$EXP_A"/*.json | grep -cv '\.manifest\.json$')"
 if [ "$count" -ne 25 ]; then
   echo "FAIL: expected 25 rows artifacts, found $count" >&2
+  exit 1
+fi
+
+echo "== golden rows gate (tiny + paper rows artifacts match the committed sha256 manifest)"
+# The 25 rows artifacts at both presets are the specification. A change
+# that moves one on purpose regenerates the manifest in the same commit:
+# run both presets into DIR/tiny and DIR/paper, then from DIR
+#   sha256sum $(ls tiny/*.json paper/*.json | grep -v '\.manifest\.json$')
+GOLDEN_MANIFEST="$PWD/bench_results/golden_rows.sha256"
+"$CLI" experiments run --all --preset paper --json "$GOLDEN/paper" >/dev/null
+if ! (cd "$GOLDEN" && sha256sum --quiet -c "$GOLDEN_MANIFEST"); then
+  echo "FAIL: rows artifacts differ from bench_results/golden_rows.sha256" >&2
   exit 1
 fi
 
@@ -166,11 +180,12 @@ if ! grep -q '"diameter_lower_bound"' <<<"$SA"; then
   exit 1
 fi
 
-echo "== serve gate (loadgen digest determinism, shard invariance, clean serve exit)"
-# The loopback loadgen's reply digest must be byte-identical across runs
-# and shard counts for a fixed seed: the server's thread interleavings,
-# frame coalescing, and sharded batch execution are all invisible in the
-# reply bytes. `serve` with stdin at EOF must bind, drain, and exit 0.
+echo "== serve gate (loadgen digest determinism, shard and layout invariance, clean serve exit)"
+# The loopback loadgen's reply digest must be byte-identical across runs,
+# shard counts and FIB layouts for a fixed seed: the server's thread
+# interleavings, frame coalescing, sharded batch execution and table
+# encoding are all invisible in the reply bytes. `serve` with stdin at
+# EOF must bind, drain, and exit 0.
 SERVE_GEN=(--json loadgen 2 2 2 --connections 4 --frames 32 --batch 8 --window 4 --seed 11)
 SV_A="$("$CLI" "${SERVE_GEN[@]}" --shards 1 | grep '"digest"')"
 SV_B="$("$CLI" "${SERVE_GEN[@]}" --shards 1 | grep '"digest"')"
@@ -181,6 +196,11 @@ if [ "$SV_A" != "$SV_B" ]; then
 fi
 if [ "$SV_A" != "$SV_C" ]; then
   echo "FAIL: loadgen digest differs between 1 and 8 shards" >&2
+  exit 1
+fi
+SV_D="$("$CLI" "${SERVE_GEN[@]}" --layout dense | grep '"digest"')"
+if [ "$SV_A" != "$SV_D" ]; then
+  echo "FAIL: loadgen digest differs between the default (hier) and dense layouts" >&2
   exit 1
 fi
 if ! "$CLI" serve 2 1 2 --port 0 </dev/null | grep -q 'listening on 127.0.0.1:'; then
