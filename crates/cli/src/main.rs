@@ -15,238 +15,86 @@
 //! `fattree p`, `ghc n d` — or any one-token spec such as `abccc:4,2,3`,
 //! `jellyfish:seed=7,r=4,v=64`, `spaceshuffle:seed=7,d=3,v=64`.
 //!
-//! Global flags (any command): `--trace` prints a telemetry summary to
-//! stderr on exit; `--metrics-out FILE` writes the raw span/metric events
-//! as JSON lines; `--trace-out FILE` writes a Chrome Trace Event JSON
-//! (open in `chrome://tracing` or Perfetto); `--flame-out FILE` writes
-//! folded flamegraph stacks. Metric-producing subcommands additionally
-//! accept `--json` to emit their report as JSON instead of the aligned
-//! table.
+//! Each command's operands and flags (the global `--trace`,
+//! `--metrics-out`, `--trace-out`, `--flame-out` and `--json` among them)
+//! are declared once, in the tables of this package's library
+//! (`abccc_cli`), which parses the argv and prints the usage text.
 
-use abccc::{Abccc, AbcccParams};
-use dcn_baselines::*;
+use abccc::AbcccParams;
+use abccc_cli::Invocation;
+use dcn_baselines::family;
 use netgraph::{NodeId, Topology};
 use serde::{Serialize, Value};
 use std::process::ExitCode;
 
-/// Global flags stripped from the argument list before dispatch.
-struct CliOptions {
-    /// Print a human-readable telemetry summary to stderr on exit.
-    trace: bool,
-    /// Write span/metric events as JSON lines to this path on exit.
-    metrics_out: Option<String>,
-    /// Write a Chrome Trace Event JSON to this path on exit.
-    trace_out: Option<String>,
-    /// Write folded flamegraph stacks to this path on exit.
-    flame_out: Option<String>,
-    /// Subcommand output as JSON instead of an aligned table.
-    json: bool,
-}
-
-impl CliOptions {
-    fn extract(args: &mut Vec<String>) -> CliOptions {
-        let trace = take_flag(args, "--trace");
-        let metrics_out = take_flag_value(args, "--metrics-out");
-        let trace_out = take_flag_value(args, "--trace-out");
-        let flame_out = take_flag_value(args, "--flame-out");
-        // For `experiments` the `--json` flag takes a directory operand
-        // and is parsed by the subcommand itself; everywhere else it is a
-        // boolean toggling JSON report output. The subcommand is only
-        // first once the global flags and their values are gone.
-        let experiments = args.first().is_some_and(|a| a == "experiments");
-        CliOptions {
-            trace,
-            metrics_out,
-            trace_out,
-            flame_out,
-            json: !experiments && take_flag(args, "--json"),
-        }
-    }
-
-    /// Whether any global flag needs telemetry recording turned on.
-    fn wants_telemetry(&self) -> bool {
-        self.trace
-            || self.metrics_out.is_some()
-            || self.trace_out.is_some()
-            || self.flame_out.is_some()
-    }
-}
-
-/// Removes `flag` from `args`; returns whether it was present.
-fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    match args.iter().position(|a| a == flag) {
-        Some(i) => {
-            args.remove(i);
-            true
-        }
-        None => false,
-    }
-}
-
-/// Removes `flag` and its value from `args`; returns the value.
-fn take_flag_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let i = args.iter().position(|a| a == flag)?;
-    if i + 1 >= args.len() {
-        return None;
-    }
-    args.remove(i);
-    Some(args.remove(i))
-}
+/// Global flags that turn telemetry recording on.
+const TELEMETRY_FLAGS: [&str; 4] = ["--trace", "--metrics-out", "--trace-out", "--flame-out"];
 
 /// Drains recorded telemetry into whichever sinks the flags selected.
-fn finish_telemetry(opts: &CliOptions) {
+fn finish_telemetry(inv: &Invocation) {
     if !dcn_telemetry::enabled() {
         return;
     }
     let spans = dcn_telemetry::drain_spans();
     let metrics = dcn_telemetry::registry().snapshot();
-    if opts.trace {
+    if inv.has("--trace") {
         eprint!("{}", dcn_telemetry::render_summary(&spans, &metrics));
     }
-    if let Some(path) = &opts.metrics_out {
-        if let Err(e) = dcn_telemetry::write_jsonl(path, &spans, &metrics) {
-            eprintln!("warning: writing {path}: {e}");
-        }
-    }
-    if let Some(path) = &opts.trace_out {
-        if let Err(e) = std::fs::write(path, dcn_telemetry::chrome_trace_json(&spans)) {
-            eprintln!("warning: writing {path}: {e}");
-        }
-    }
-    if let Some(path) = &opts.flame_out {
-        if let Err(e) = std::fs::write(path, dcn_telemetry::folded_stacks(&spans)) {
+    for flag in ["--metrics-out", "--trace-out", "--flame-out"] {
+        let Some(path) = inv.text(flag) else { continue };
+        let written = match flag {
+            "--metrics-out" => dcn_telemetry::write_jsonl(path, &spans, &metrics),
+            "--trace-out" => std::fs::write(path, dcn_telemetry::chrome_trace_json(&spans)),
+            _ => std::fs::write(path, dcn_telemetry::folded_stacks(&spans)),
+        };
+        if let Err(e) = written {
             eprintln!("warning: writing {path}: {e}");
         }
     }
 }
 
+/// Prints `error: …` and the usage that explains it.
+fn fail(error: &str, usage: &str) -> ExitCode {
+    eprintln!("error: {error}\n\nusage:\n{}", usage.trim_end());
+    ExitCode::FAILURE
+}
+
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = CliOptions::extract(&mut args);
-    if opts.wants_telemetry() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let inv = match abccc_cli::parse(&argv) {
+        Ok(inv) => inv,
+        Err(e) => return fail(&e.to_string(), &abccc_cli::usage_for(&argv)),
+    };
+    if TELEMETRY_FLAGS.iter().any(|f| inv.has(f)) {
         dcn_telemetry::set_enabled(true);
     }
     // Exiting quietly when stdout closes early (`abccc-cli … | head`) is
     // friendlier than the default broken-pipe panic.
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
-        let broken_pipe = info
-            .payload()
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| info.payload().downcast_ref::<&str>().copied())
-            .is_some_and(|m| m.contains("Broken pipe"));
-        if !broken_pipe {
+        if !broken_pipe(info.payload()) {
             default_hook(info);
         }
     }));
-    let outcome = std::panic::catch_unwind(|| run(&args, &opts));
-    match outcome {
+    match std::panic::catch_unwind(|| run(&inv)) {
         Ok(Ok(code)) => {
-            finish_telemetry(&opts);
+            finish_telemetry(&inv);
             code
         }
-        Ok(Err(e)) => {
-            eprintln!("error: {e}");
-            eprintln!();
-            eprintln!("{USAGE}");
-            ExitCode::FAILURE
-        }
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("");
-            if msg.contains("Broken pipe") {
-                ExitCode::SUCCESS
-            } else {
-                std::panic::resume_unwind(payload)
-            }
-        }
+        Ok(Err(e)) => fail(&e, &inv.command.usage()),
+        Err(payload) if broken_pipe(&*payload) => ExitCode::SUCCESS,
+        Err(payload) => std::panic::resume_unwind(payload),
     }
 }
 
-const USAGE: &str = "usage:
-  abccc-cli props    <family…>              structural properties (+diameter for small nets)
-  abccc-cli route    <family…> <src> <dst>  one-to-one route (native algorithm)
-  abccc-cli parallel <family…> <src> <dst>  vertex-disjoint parallel paths (abccc/bccc only)
-  abccc-cli simulate <family…> [--pattern permutation|bisection|alltoall] [--seed N]
-  abccc-cli expand   <n> <k> <h> [--steps N]  ABCCC expansion plan
-  abccc-cli capex    <family…>              CAPEX breakdown (default cost model)
-  abccc-cli dot      <family…> [<src> <dst>]  Graphviz DOT (route highlighted if given)
-  abccc-cli broadcast <n> <k> <h> <src>      one-to-all tree statistics
-  abccc-cli svg      <family…> [<src> <dst>] [--out FILE]  SVG rendering
-  abccc-cli trace    <family…> --file TRACE.csv            replay a CSV flow trace
-  abccc-cli design   <target-servers> [--objective cost|latency|bandwidth]
-  abccc-cli resilience <spec>|<n> <k> <h> [--scenario uniform|groups|level|flapping]
-      [--rate R] [--link-rate R] [--groups N] [--level N] [--steps N]
-      [--router resilient|digit|vlb] [--no-bfs] [--pattern random|permutation|convergent]
-      [--pairs N] [--trials N] [--seed N] [--threads N] [--no-throughput]
-                                             seeded fault campaign with degradation
-                                             report (any family; non-ABCCC specs run
-                                             on their native routing plane)
-  abccc-cli fib compile <spec>|<n> <k> <h> [--layout hier|dense]
-                                             compile the forwarding table, print stats
-                                             (fib/serve/loadgen: --layout defaults to
-                                             hier; dense expands it to all N² pairs)
-  abccc-cli fib query   <spec>|<n> <k> <h> <src> <dst> [--shards N] [--layout hier|dense]
-      [--fail-rate R] [--fail-seed S]        answer one query from the compiled table
-  abccc-cli fib bench   <spec>|<n> <k> <h> [--queries N] [--seed N] [--shards N]
-      [--fail-rate R] [--layout hier|dense] [--digest FILE]
-                                             batched route-service throughput; --digest
-                                             writes a deterministic result digest (JSON)
-  abccc-cli serve  <spec>|<n> <k> <h> [--port P] [--shards N] [--layout hier|dense]
-      [--max-inflight N] [--max-batch N]      serve the compiled FIB over TCP
-                                             (127.0.0.1, --port 0 = ephemeral; prints
-                                             the bound address, runs until stdin EOF,
-                                             then drains and exits 0)
-  abccc-cli loadgen <spec>|<n> <k> <h> [--connections N] [--frames N] [--batch N]
-      [--window N] [--seed N] [--shards N] [--layout hier|dense]
-                                             loopback load generator: spawn a server,
-                                             drive it, report throughput + RTT
-                                             quantiles + the deterministic digest
-  abccc-cli topo stats  <family…> [--estimate [--samples N] [--seed S] [--trials T]]
-                                             graph metrics; --estimate uses seeded
-                                             sampling (diameter lower bound, APL ± CI,
-                                             bisection upper bound) at any scale
-  abccc-cli experiments list                 index of registered paper experiments
-  abccc-cli sim list                         production scenario catalog (unified engine)
-  abccc-cli sim run <scenario> <family…> [--seed N]
-                                             run one workload scenario through the
-                                             unified traffic engine; reports the FCT
-                                             distribution, goodput, and fault impact
-  abccc-cli experiments run <name…> | --all [--preset tiny|paper|scale]
-      [--json DIR] [--threads N]             run experiments through the sweep engine
-                                             (--json here takes a directory for rows +
-                                             manifest artifacts)
-  abccc-cli perf record [<name…> | --all] [--preset tiny|paper|scale] [--runs N]
-      [--threads N] [--baselines DIR]        run experiments N times, store the
-                                             median perf figures as baselines
-                                             (default: all, tiny, 3 runs,
-                                             bench_results/baselines)
-  abccc-cli perf diff   [<name…> | --all] [--preset tiny|paper|scale] [--runs N]
-      [--threads N] [--baselines DIR] [--rel R]
-                                             re-measure and compare against stored
-                                             baselines; exits nonzero on regression
-                                             (noise-aware: relative + absolute gates)
-  abccc-cli perf trace-stat FILE             validate a --trace-out Chrome trace and
-                                             print its span/lane/root counts
+/// Whether a panic is the broken-pipe one of printing to a closed stdout.
+fn broken_pipe(payload: &(dyn std::any::Any + Send)) -> bool {
+    let msg = payload.downcast_ref::<String>().map(String::as_str);
+    msg.or_else(|| payload.downcast_ref::<&str>().copied())
+        .is_some_and(|m| m.contains("Broken pipe"))
+}
 
-families: abccc n k h | bccc n k | bcube n k | dcell n k | fattree p | ghc n d
-  every <family…> also accepts one-token specs — `abccc:4,2,3`, `fattree:6`,
-  `jellyfish:seed=7,r=4,v=64`, `spaceshuffle:seed=7,d=3,v=64` (the canonical
-  round-trip form printed by `topo stats`); jellyfish/spaceshuffle are spec-only
-
-global flags:
-  --trace              print a telemetry summary (spans + counters) to stderr
-  --metrics-out FILE   write raw telemetry events as JSON lines to FILE
-  --trace-out FILE     write a Chrome Trace Event JSON (chrome://tracing, Perfetto)
-  --flame-out FILE     write folded flamegraph stacks (self-time weighted)
-  --json               JSON report instead of a table
-                       (props/simulate/sim/capex/trace/broadcast/resilience/fib/topo/perf/loadgen)";
-
-type DynTopo = Box<dyn Topology>;
+type DynTopo = Box<dyn Topology + Send + Sync>;
 
 fn parse_u32(s: &str, what: &str) -> Result<u32, String> {
     s.parse()
@@ -260,125 +108,99 @@ fn is_topology_spec(arg: &str) -> bool {
     arg.contains(':') || arg.contains('(')
 }
 
-/// Parses either a one-token canonical spec (any registered family,
-/// including `jellyfish:…` and `spaceshuffle:…`) or the legacy
-/// `family params…` form, returning the topology plus how many args it
-/// consumed.
-fn parse_topology(args: &[String]) -> Result<(DynTopo, usize), String> {
-    let family = args.first().ok_or("missing topology family")?;
-    if is_topology_spec(family) {
-        let topo: DynTopo = family::build_spec(family).map_err(|e| e.to_string())?;
-        return Ok((topo, 1));
+/// Folds a topology head — a one-token spec of any registered family or
+/// the legacy `family params…` form — into one spec, and returns it with
+/// the number of operands it spans.
+fn head_spec(pos: &[String]) -> Result<(String, usize), String> {
+    let head = pos.first().ok_or("missing topology family")?;
+    if is_topology_spec(head) {
+        return Ok((head.clone(), 1));
     }
-    let need = |n: usize| -> Result<Vec<u32>, String> {
-        if args.len() < 1 + n {
-            return Err(format!("{family} needs {n} numeric parameter(s)"));
-        }
-        args[1..1 + n]
-            .iter()
-            .map(|s| parse_u32(s, "parameter"))
-            .collect()
+    // How many numbers each legacy head takes. Jellyfish and spaceshuffle
+    // are spec-only; for them and unknown names the registry's error reads
+    // the empty parameter list.
+    let arity = match head.as_str() {
+        "abccc" => 3,
+        "bccc" | "bcube" | "dcell" | "ghc" => 2,
+        "fattree" => 1,
+        _ => 0,
     };
-    let err = |e: netgraph::NetworkError| e.to_string();
-    match family.as_str() {
-        "abccc" => {
-            let v = need(3)?;
-            let p = AbcccParams::new(v[0], v[1], v[2]).map_err(err)?;
-            Ok((Box::new(Abccc::new(p).map_err(err)?), 4))
-        }
-        "bccc" => {
-            let v = need(2)?;
-            let p = BcccParams::new(v[0], v[1]).map_err(err)?;
-            Ok((Box::new(Bccc::new(p).map_err(err)?), 3))
-        }
-        "bcube" => {
-            let v = need(2)?;
-            let p = BCubeParams::new(v[0], v[1]).map_err(err)?;
-            Ok((Box::new(BCube::new(p).map_err(err)?), 3))
-        }
-        "dcell" => {
-            let v = need(2)?;
-            let p = DCellParams::new(v[0], v[1]).map_err(err)?;
-            Ok((Box::new(DCell::new(p).map_err(err)?), 3))
-        }
-        "fattree" => {
-            let v = need(1)?;
-            let p = FatTreeParams::new(v[0]).map_err(err)?;
-            Ok((Box::new(FatTree::new(p).map_err(err)?), 2))
-        }
-        "ghc" => {
-            let v = need(2)?;
-            let p = HypercubeParams::new(v[0], v[1]).map_err(err)?;
-            Ok((Box::new(Hypercube::new(p).map_err(err)?), 3))
-        }
-        other => Err(format!(
-            "unknown family `{other}` (try a spec like `{other}:…` — families: {})",
-            family::families()
-                .iter()
-                .map(|f| f.name())
-                .collect::<Vec<_>>()
-                .join(", ")
-        )),
+    let params = pos
+        .get(1..1 + arity)
+        .ok_or_else(|| format!("{head} needs {arity} numeric parameter(s)"))?;
+    Ok((format!("{head}:{}", params.join(",")), 1 + arity))
+}
+
+/// Builds the topology of a [`head_spec`] head.
+fn parse_topology(pos: &[String]) -> Result<(DynTopo, usize), String> {
+    let (spec, used) = head_spec(pos)?;
+    Ok((family::build_spec(&spec).map_err(|e| e.to_string())?, used))
+}
+
+/// The `<spec>|<n> <k> <h>` head: a one-token spec of any family, or
+/// three numbers read as ABCCC. Returns the spec and its operand count.
+fn spec_or_abccc(pos: &[String], what: &str) -> Result<(String, usize), String> {
+    match (pos.first(), pos.get(..3)) {
+        (Some(head), _) if is_topology_spec(head) => Ok((head.clone(), 1)),
+        (_, Some(nkh)) => Ok((format!("abccc:{}", nkh.join(",")), 3)),
+        _ => Err(format!("{what} needs a topology spec or <n> <k> <h>")),
     }
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
+/// A `<spec>|<n> <k> <h>` head that must be ABCCC: the commands built on
+/// its digit addressing (`fib`, `serve`, `loadgen`, `expand`, `broadcast`)
+/// run on nothing else.
+fn abccc_head(pos: &[String], what: &str) -> Result<(AbcccParams, usize), String> {
+    let (spec, used) = spec_or_abccc(pos, what)?;
+    let (fam, params) = family::parse_spec(&spec).map_err(|e| e.to_string())?;
+    if fam.name() != "abccc" {
+        let got = fam.name();
+        return Err(format!("{what} requires an ABCCC topology, got `{got}`"));
+    }
+    let p = params
+        .parse()
+        .map_err(|e: netgraph::NetworkError| e.to_string())?;
+    Ok((p, used))
 }
 
-fn run(args: &[String], opts: &CliOptions) -> Result<ExitCode, String> {
-    let cmd = args.first().ok_or("missing command")?;
-    let rest = &args[1..];
-    let json = opts.json;
-    if json
-        && !matches!(
-            cmd.as_str(),
-            "props"
-                | "simulate"
-                | "sim"
-                | "capex"
-                | "trace"
-                | "broadcast"
-                | "resilience"
-                | "fib"
-                | "topo"
-                | "perf"
-                | "loadgen"
-        )
-    {
-        return Err(format!("--json is not supported for `{cmd}`"));
-    }
+fn run(inv: &Invocation) -> Result<ExitCode, String> {
     // Most subcommands either succeed or error; only `perf diff` reports
     // a legitimate non-success outcome (a regression verdict) without an
     // error.
     let done = |r: Result<(), String>| r.map(|()| ExitCode::SUCCESS);
-    match cmd.as_str() {
-        "props" => done(props(rest, json)),
-        "route" => done(route(rest)),
-        "parallel" => done(parallel(rest)),
-        "simulate" => done(simulate(rest, json)),
-        "sim" => done(sim_cmd(rest, json)),
-        "expand" => done(expand(rest)),
-        "capex" => done(capex(rest, json)),
-        "dot" => done(dot(rest)),
-        "svg" => done(svg_cmd(rest)),
-        "trace" => done(trace_cmd(rest, json)),
-        "design" => done(design_cmd(rest)),
-        "broadcast" => done(broadcast_cmd(rest, json)),
-        "resilience" => done(resilience_cmd(rest, json)),
-        "fib" => done(fib_cmd(rest, json)),
-        "serve" => done(serve_cmd(rest)),
-        "loadgen" => done(loadgen_cmd(rest, json)),
-        "topo" => done(topo_cmd(rest, json)),
-        "experiments" => done(experiments_cmd(rest)),
-        "perf" => perf_cmd(rest, json),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
+    match inv.command.name {
+        "props" => done(props(inv)),
+        "route" => done(route(inv)),
+        "parallel" => done(parallel(inv)),
+        "simulate" => done(simulate(inv)),
+        "expand" => done(expand(inv)),
+        "capex" => done(capex(inv)),
+        "dot" => done(dot(inv)),
+        "svg" => done(svg_cmd(inv)),
+        "trace" => done(trace_cmd(inv)),
+        "design" => done(design_cmd(inv)),
+        "broadcast" => done(broadcast_cmd(inv)),
+        "resilience" => done(resilience_cmd(inv)),
+        "fib compile" => done(fib_compile(inv)),
+        "fib query" => done(fib_query(inv)),
+        "fib bench" => done(fib_bench(inv)),
+        "serve" => done(serve_cmd(inv)),
+        "loadgen" => done(loadgen_cmd(inv)),
+        "topo stats" => done(topo_stats(inv)),
+        "experiments list" => done(experiments_list()),
+        "experiments run" => done(experiments_run(inv)),
+        "sim list" => {
+            println!("{SCENARIO_CATALOG}");
             Ok(ExitCode::SUCCESS)
         }
-        other => Err(format!("unknown command `{other}`")),
+        "sim run" => done(sim_run(inv)),
+        "perf record" | "perf diff" => perf_cmd(inv),
+        "perf trace-stat" => done(trace_stat_cmd(inv)),
+        "help" => {
+            println!("usage:\n{}", abccc_cli::usage().trim_end());
+            Ok(ExitCode::SUCCESS)
+        }
+        other => Err(format!("`{other}` has no handler")),
     }
 }
 
@@ -387,6 +209,11 @@ fn print_json(v: &Value) -> Result<(), String> {
     let text = serde_json::to_string_pretty(v).map_err(|e| e.to_string())?;
     println!("{text}");
     Ok(())
+}
+
+/// A JSON object of `entries`, in order.
+fn object<const N: usize>(entries: [(&str, Value); N]) -> Value {
+    Value::Map(entries.map(|(k, v)| (k.to_string(), v)).into())
 }
 
 /// Appends extra entries to a serialized struct's JSON object.
@@ -399,22 +226,17 @@ fn with_entries(mut v: Value, extra: Vec<(&str, Value)>) -> Value {
     v
 }
 
-fn props(args: &[String], json: bool) -> Result<(), String> {
-    let (topo, _) = parse_topology(args)?;
+fn props(inv: &Invocation) -> Result<(), String> {
+    let (topo, _) = parse_topology(&inv.operands)?;
     let small = topo.network().server_count() <= 2048;
     let stats = if small {
         dcn_metrics::TopologyStats::measure(topo.as_ref())
     } else {
         dcn_metrics::TopologyStats::quick(topo.as_ref())
     };
-    if json {
-        let bisection = if small {
-            Value::U64(dcn_metrics::bisection::exact_bisection_by_id(
-                topo.network(),
-            ))
-        } else {
-            Value::Null
-        };
+    let bisection = small.then(|| dcn_metrics::bisection::exact_bisection_by_id(topo.network()));
+    if inv.has("--json") {
+        let bisection = bisection.map_or(Value::Null, Value::U64);
         return print_json(&with_entries(
             stats.to_value(),
             vec![("exact_bisection_links", bisection)],
@@ -435,26 +257,25 @@ fn props(args: &[String], json: bool) -> Result<(), String> {
     if let Some(apl) = stats.avg_path_length {
         println!("  avg path length   {apl:.3}");
     }
-    if small {
-        let b = dcn_metrics::bisection::exact_bisection_by_id(topo.network());
+    if let Some(b) = bisection {
         println!("  bisection         {b} links (exact min-cut)");
     }
     Ok(())
 }
 
-fn endpoints(topo: &dyn Topology, args: &[String], at: usize) -> Result<(NodeId, NodeId), String> {
-    let n = topo.network().server_count() as u32;
-    let s = parse_u32(args.get(at).ok_or("missing <src>")?, "src")?;
-    let d = parse_u32(args.get(at + 1).ok_or("missing <dst>")?, "dst")?;
-    if s >= n || d >= n {
-        return Err(format!("server ids must be < {n}"));
+/// The `<src> <dst>` operands at `at`, checked against `servers`.
+fn endpoints(servers: usize, pos: &[String], at: usize) -> Result<(NodeId, NodeId), String> {
+    let s = parse_u32(pos.get(at).ok_or("missing <src>")?, "src")?;
+    let d = parse_u32(pos.get(at + 1).ok_or("missing <dst>")?, "dst")?;
+    if s as usize >= servers || d as usize >= servers {
+        return Err(format!("server ids must be < {servers}"));
     }
     Ok((NodeId(s), NodeId(d)))
 }
 
-fn route(args: &[String]) -> Result<(), String> {
-    let (topo, used) = parse_topology(args)?;
-    let (src, dst) = endpoints(topo.as_ref(), args, used)?;
+fn route(inv: &Invocation) -> Result<(), String> {
+    let (topo, used) = parse_topology(&inv.operands)?;
+    let (src, dst) = endpoints(topo.network().server_count(), &inv.operands, used)?;
     let r = topo.route(src, dst).map_err(|e| e.to_string())?;
     r.validate(topo.network(), None)?;
     println!(
@@ -472,26 +293,22 @@ fn route(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn parallel(args: &[String]) -> Result<(), String> {
-    let family = args.first().ok_or("missing topology family")?.clone();
-    if family != "abccc" && family != "bccc" {
-        return Err("parallel paths are implemented for abccc/bccc".into());
+fn parallel(inv: &Invocation) -> Result<(), String> {
+    let (spec, used) = head_spec(&inv.operands)?;
+    let (fam, params) = family::parse_spec(&spec).map_err(|e| e.to_string())?;
+    // The native constructor takes ABCCC parameters; BCCC(n,k) is
+    // ABCCC(n,k,2).
+    let p: AbcccParams = match fam.name() {
+        "abccc" => params.parse(),
+        "bccc" => format!("{params},2").parse(),
+        _ => return Err("parallel paths are implemented for abccc/bccc".into()),
     }
-    let (topo, used) = parse_topology(args)?;
-    let (src, dst) = endpoints(topo.as_ref(), args, used)?;
+    .map_err(|e: netgraph::NetworkError| e.to_string())?;
+    let topo = fam.build(&params).map_err(|e| e.to_string())?;
+    let (src, dst) = endpoints(topo.network().server_count(), &inv.operands, used)?;
     if src == dst {
         return Err("src and dst must differ".into());
     }
-    // Reconstruct the ABCCC parameterization for the native constructor.
-    let v: Vec<u32> = args[1..used]
-        .iter()
-        .map(|s| parse_u32(s, "parameter"))
-        .collect::<Result<_, _>>()?;
-    let p = if family == "abccc" {
-        AbcccParams::new(v[0], v[1], v[2]).map_err(|e| e.to_string())?
-    } else {
-        AbcccParams::new(v[0], v[1], 2).map_err(|e| e.to_string())?
-    };
     let routes = abccc::parallel::parallel_routes(
         &p,
         abccc::ServerAddr::from_node_id(&p, src),
@@ -511,17 +328,14 @@ fn parallel(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn simulate(args: &[String], json: bool) -> Result<(), String> {
-    let (topo, _) = parse_topology(args)?;
-    let pattern = flag_value(args, "--pattern").unwrap_or_else(|| "permutation".into());
-    let seed: u64 = flag_value(args, "--seed")
-        .map(|s| s.parse().map_err(|_| "--seed expects a number"))
-        .transpose()?
-        .unwrap_or(1);
+fn simulate(inv: &Invocation) -> Result<(), String> {
+    let (topo, _) = parse_topology(&inv.operands)?;
+    let pattern = inv.text("--pattern").unwrap_or_default();
+    let seed: u64 = inv.num("--seed")?;
     use rand::SeedableRng;
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let n = topo.network().server_count();
-    let pairs = match pattern.as_str() {
+    let pairs = match pattern {
         "permutation" => dcn_workloads::traffic::random_permutation(n, &mut rng),
         "bisection" => dcn_workloads::traffic::bisection_pairs(n, &mut rng),
         "alltoall" => {
@@ -535,11 +349,11 @@ fn simulate(args: &[String], json: bool) -> Result<(), String> {
     let report = dcn_sim::FlowSim::new(topo.as_ref())
         .run(&pairs)
         .map_err(|e| e.to_string())?;
-    if json {
+    if inv.has("--json") {
         return print_json(&with_entries(
             report.to_value(),
             vec![
-                ("pattern", Value::Str(pattern.clone())),
+                ("pattern", Value::Str(pattern.to_string())),
                 ("seed", Value::U64(seed)),
             ],
         ));
@@ -554,74 +368,30 @@ fn simulate(args: &[String], json: bool) -> Result<(), String> {
     Ok(())
 }
 
-/// One-line blurbs for the scenario catalog, display order.
-const SCENARIO_BLURBS: [(&str, &str); 5] = [
-    (
-        "all_reduce",
-        "ring all-reduce collective (reduce-scatter + all-gather phases)",
-    ),
-    (
-        "all_to_all",
-        "shuffle: every ordered participant pair exchanges one chunk",
-    ),
-    (
-        "incast",
-        "packet-level fan-in microburst onto one target's last hop",
-    ),
-    (
-        "storage_rebuild",
-        "reconstruction storm with a mid-flow server fault",
-    ),
-    (
-        "diurnal",
-        "sinusoidal load, 10% elephants, flash crowd at the peak",
-    ),
-];
+/// The scenario catalog `sim list` prints, in display order.
+const SCENARIO_CATALOG: &str = "\
+all_reduce       ring all-reduce collective (reduce-scatter + all-gather phases)
+all_to_all       shuffle: every ordered participant pair exchanges one chunk
+incast           packet-level fan-in microburst onto one target's last hop
+storage_rebuild  reconstruction storm with a mid-flow server fault
+diurnal          sinusoidal load, 10% elephants, flash crowd at the peak";
 
-fn sim_cmd(args: &[String], json: bool) -> Result<(), String> {
-    match args.first().map(String::as_str) {
-        Some("list") => {
-            for (name, blurb) in SCENARIO_BLURBS {
-                println!("{name:<16} {blurb}");
-            }
-            Ok(())
-        }
-        Some("run") => sim_run(&args[1..], json),
-        _ => Err("sim expects `list` or `run <scenario> <family…>`".into()),
-    }
-}
-
-fn sim_run(args: &[String], json: bool) -> Result<(), String> {
-    let name = args
+fn sim_run(inv: &Invocation) -> Result<(), String> {
+    let name = inv
+        .operands
         .first()
-        .ok_or("missing scenario (try `abccc-cli sim list`)")?
-        .clone();
-    let head = args.get(1).ok_or("missing topology spec")?;
-    // The engine's batch runner shares the topology across threads, so
-    // build through the family registry (Send + Sync) rather than
-    // `parse_topology`; the legacy `family n k …` tail folds into a
-    // one-token spec.
-    let topo: Box<dyn Topology + Send + Sync> = if is_topology_spec(head) {
-        family::build_spec(head).map_err(|e| e.to_string())?
-    } else {
-        let params: Vec<String> = args[2..]
-            .iter()
-            .take_while(|a| !a.starts_with("--"))
-            .cloned()
-            .collect();
-        family::build_spec(&format!("{head}:{}", params.join(","))).map_err(|e| e.to_string())?
-    };
-    let seed: u64 = flag_value(args, "--seed")
-        .map(|s| s.parse().map_err(|_| "--seed expects a number"))
-        .transpose()?
-        .unwrap_or(1);
+        .ok_or("missing scenario (try `abccc-cli sim list`)")?;
+    // The engine's batch runner shares the topology across threads, which
+    // the family registry's Send + Sync builds allow.
+    let (topo, _) = parse_topology(&inv.operands[1..])?;
+    let seed: u64 = inv.num("--seed")?;
     let servers = topo.network().server_count();
-    let scenario = dcn_workloads::scenarios::by_name(&name, servers, seed)
+    let scenario = dcn_workloads::scenarios::by_name(name, servers, seed)
         .ok_or_else(|| format!("unknown scenario `{name}` (see `abccc-cli sim list`)"))?;
     let report = dcn_sim::TrafficEngine::new(topo.as_ref())
         .run(&scenario)
         .map_err(|e| e.to_string())?;
-    if json {
+    if inv.has("--json") {
         return print_json(&with_entries(
             report.to_value(),
             vec![("seed", Value::U64(seed))],
@@ -655,19 +425,9 @@ fn sim_run(args: &[String], json: bool) -> Result<(), String> {
     Ok(())
 }
 
-fn expand(args: &[String]) -> Result<(), String> {
-    if args.len() < 3 {
-        return Err("expand needs <n> <k> <h>".into());
-    }
-    let n = parse_u32(&args[0], "n")?;
-    let k = parse_u32(&args[1], "k")?;
-    let h = parse_u32(&args[2], "h")?;
-    let steps: u32 = flag_value(args, "--steps")
-        .map(|s| s.parse().map_err(|_| "--steps expects a number"))
-        .transpose()?
-        .unwrap_or(1);
-    let p = AbcccParams::new(n, k, h).map_err(|e| e.to_string())?;
-    let plan = abccc::ExpansionStep::schedule(p, steps).map_err(|e| e.to_string())?;
+fn expand(inv: &Invocation) -> Result<(), String> {
+    let (p, _) = abccc_head(&inv.operands, "expand")?;
+    let plan = abccc::ExpansionStep::schedule(p, inv.num("--steps")?).map_err(|e| e.to_string())?;
     for s in &plan {
         println!("{} → {}", s.from, s.to);
         println!(
@@ -689,8 +449,8 @@ fn expand(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn dot(args: &[String]) -> Result<(), String> {
-    let (topo, used) = parse_topology(args)?;
+fn dot(inv: &Invocation) -> Result<(), String> {
+    let (topo, used) = parse_topology(&inv.operands)?;
     if topo.network().node_count() > 4096 {
         return Err("network too large to render usefully (> 4096 nodes)".into());
     }
@@ -698,28 +458,28 @@ fn dot(args: &[String]) -> Result<(), String> {
         name: topo.name().replace(['(', ')', ','], "_"),
         ..Default::default()
     };
-    if args.len() >= used + 2 {
-        let (src, dst) = endpoints(topo.as_ref(), args, used)?;
+    if inv.operands.len() >= used + 2 {
+        let (src, dst) = endpoints(topo.network().server_count(), &inv.operands, used)?;
         opts.highlight = vec![topo.route(src, dst).map_err(|e| e.to_string())?];
     }
     print!("{}", netgraph::dot::to_dot(topo.network(), &opts));
     Ok(())
 }
 
-fn svg_cmd(args: &[String]) -> Result<(), String> {
-    let (topo, used) = parse_topology(args)?;
+fn svg_cmd(inv: &Invocation) -> Result<(), String> {
+    let (topo, used) = parse_topology(&inv.operands)?;
     if topo.network().node_count() > 2048 {
         return Err("network too large to render usefully (> 2048 nodes)".into());
     }
     let mut opts = netgraph::svg::SvgOptions::default();
-    if args.len() > used + 1 && !args[used].starts_with("--") {
-        let (src, dst) = endpoints(topo.as_ref(), args, used)?;
+    if inv.operands.len() >= used + 2 {
+        let (src, dst) = endpoints(topo.network().server_count(), &inv.operands, used)?;
         opts.highlight = vec![topo.route(src, dst).map_err(|e| e.to_string())?];
     }
     let svg = netgraph::svg::to_svg(topo.network(), &opts);
-    match flag_value(args, "--out") {
+    match inv.text("--out") {
         Some(path) => {
-            std::fs::write(&path, &svg).map_err(|e| format!("writing {path}: {e}"))?;
+            std::fs::write(path, &svg).map_err(|e| format!("writing {path}: {e}"))?;
             println!("wrote {path} ({} bytes)", svg.len());
         }
         None => print!("{svg}"),
@@ -727,10 +487,10 @@ fn svg_cmd(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn trace_cmd(args: &[String], json: bool) -> Result<(), String> {
-    let (topo, _) = parse_topology(args)?;
-    let path = flag_value(args, "--file").ok_or("trace needs --file TRACE.csv")?;
-    let text = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
+fn trace_cmd(inv: &Invocation) -> Result<(), String> {
+    let (topo, _) = parse_topology(&inv.operands)?;
+    let path = inv.text("--file").ok_or("trace needs --file TRACE.csv")?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let flows = dcn_workloads::trace::parse_trace(&text, topo.network().server_count() as u64)
         .map_err(|e| e.to_string())?;
     if flows.is_empty() {
@@ -743,11 +503,11 @@ fn trace_cmd(args: &[String], json: bool) -> Result<(), String> {
     let report = dcn_sim::FlowSim::new(topo.as_ref())
         .run(&pairs)
         .map_err(|e| e.to_string())?;
-    if json {
+    if inv.has("--json") {
         return print_json(&with_entries(
             report.to_value(),
             vec![
-                ("trace_file", Value::Str(path.clone())),
+                ("trace_file", Value::Str(path.to_string())),
                 ("fairness_index", Value::F64(report.fairness_index())),
             ],
         ));
@@ -764,33 +524,22 @@ fn trace_cmd(args: &[String], json: bool) -> Result<(), String> {
     Ok(())
 }
 
-fn broadcast_cmd(args: &[String], json: bool) -> Result<(), String> {
-    if args.len() < 4 {
-        return Err("broadcast needs <n> <k> <h> <src>".into());
-    }
-    let n = parse_u32(&args[0], "n")?;
-    let k = parse_u32(&args[1], "k")?;
-    let h = parse_u32(&args[2], "h")?;
-    let src = parse_u32(&args[3], "src")?;
-    let p = AbcccParams::new(n, k, h).map_err(|e| e.to_string())?;
+fn broadcast_cmd(inv: &Invocation) -> Result<(), String> {
+    let (p, used) = abccc_head(&inv.operands, "broadcast")?;
+    let src = parse_u32(inv.operands.get(used).ok_or("missing <src>")?, "src")?;
     if u64::from(src) >= p.server_count() {
         return Err(format!("src must be < {}", p.server_count()));
     }
     let tree = abccc::broadcast::one_to_all(&p, NodeId(src)).map_err(|e| e.to_string())?;
     tree.validate(&p)?;
-    if json {
-        return print_json(&Value::Map(
-            [
-                ("topology", Value::Str(p.to_string())),
-                ("src", Value::U64(u64::from(src))),
-                ("servers_covered", Value::U64(tree.member_count() as u64)),
-                ("tree_depth_hops", Value::U64(tree.depth() as u64)),
-                ("messages_sent", Value::U64(tree.member_count() as u64 - 1)),
-            ]
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-        ));
+    if inv.has("--json") {
+        return print_json(&object([
+            ("topology", Value::Str(p.to_string())),
+            ("src", Value::U64(u64::from(src))),
+            ("servers_covered", Value::U64(tree.member_count() as u64)),
+            ("tree_depth_hops", Value::U64(tree.depth() as u64)),
+            ("messages_sent", Value::U64(tree.member_count() as u64 - 1)),
+        ]));
     }
     println!("{p}: one-to-all from server {src}");
     println!("  servers covered  {}", tree.member_count());
@@ -809,17 +558,18 @@ fn broadcast_cmd(args: &[String], json: bool) -> Result<(), String> {
     Ok(())
 }
 
-fn design_cmd(args: &[String]) -> Result<(), String> {
-    let target: u64 = args
+fn design_cmd(inv: &Invocation) -> Result<(), String> {
+    let target: u64 = inv
+        .operands
         .first()
         .ok_or("design needs <target-servers>")?
         .parse()
         .map_err(|_| "target-servers must be a number".to_string())?;
-    let objective = match flag_value(args, "--objective").as_deref() {
-        None | Some("cost") => dcn_metrics::design::Objective::Cost,
-        Some("latency") => dcn_metrics::design::Objective::Latency,
-        Some("bandwidth") => dcn_metrics::design::Objective::Bandwidth,
-        Some(other) => return Err(format!("unknown objective `{other}`")),
+    let objective = match inv.text("--objective").unwrap_or_default() {
+        "cost" => dcn_metrics::design::Objective::Cost,
+        "latency" => dcn_metrics::design::Objective::Latency,
+        "bandwidth" => dcn_metrics::design::Objective::Bandwidth,
+        other => return Err(format!("unknown objective `{other}`")),
     };
     let cost = dcn_metrics::CostModel::default();
     let cands = dcn_metrics::design::recommend(target, &[4, 8, 16, 24, 48], 6, &cost, objective);
@@ -843,76 +593,46 @@ fn design_cmd(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn resilience_cmd(args: &[String], json: bool) -> Result<(), String> {
+fn resilience_cmd(inv: &Invocation) -> Result<(), String> {
     use dcn_resilience::{CampaignConfig, PairSampling, RouterSpec, ScenarioKind};
     // A one-token spec runs the campaign on any family (native routing
     // plane for non-ABCCC); the legacy `<n> <k> <h>` form stays ABCCC.
-    let topo: Box<dyn Topology + Send + Sync> = match args.first().map(|a| is_topology_spec(a)) {
-        Some(true) => family::build_spec(&args[0]).map_err(|e| e.to_string())?,
-        _ => {
-            if args.len() < 3 {
-                return Err("resilience needs a topology spec or <n> <k> <h>".into());
-            }
-            let n = parse_u32(&args[0], "n")?;
-            let k = parse_u32(&args[1], "k")?;
-            let h = parse_u32(&args[2], "h")?;
-            let p = AbcccParams::new(n, k, h).map_err(|e| e.to_string())?;
-            Box::new(Abccc::new(p).map_err(|e| e.to_string())?)
-        }
-    };
+    let (spec, _) = spec_or_abccc(&inv.operands, "resilience")?;
+    let topo = family::build_spec(&spec).map_err(|e| e.to_string())?;
 
-    let num = |flag: &str, default: u64| -> Result<u64, String> {
-        flag_value(args, flag)
-            .map(|s| s.parse().map_err(|_| format!("{flag} expects a number")))
-            .transpose()
-            .map(|v| v.unwrap_or(default))
-    };
-    let fnum = |flag: &str, default: f64| -> Result<f64, String> {
-        flag_value(args, flag)
-            .map(|s| s.parse().map_err(|_| format!("{flag} expects a number")))
-            .transpose()
-            .map(|v| v.unwrap_or(default))
-    };
-
-    let rate = fnum("--rate", 0.05)?;
-    let scenario = match flag_value(args, "--scenario")
-        .as_deref()
-        .unwrap_or("uniform")
-    {
+    let rate: f64 = inv.num("--rate")?;
+    let scenario = match inv.text("--scenario").unwrap_or_default() {
         "uniform" => ScenarioKind::Uniform {
             server_rate: rate,
             switch_rate: rate,
-            link_rate: fnum("--link-rate", 0.0)?,
+            link_rate: inv.num("--link-rate")?,
         },
         "groups" => ScenarioKind::CrossbarGroups {
-            groups: num("--groups", 1)? as usize,
+            groups: inv.num("--groups")?,
         },
         "level" => ScenarioKind::LevelSwitches {
-            level: num("--level", 0)? as u32,
+            level: inv.num("--level")?,
         },
         "flapping" => ScenarioKind::FlappingLinks {
             rate,
-            steps: num("--steps", 4)? as usize,
+            steps: inv.num("--steps")?,
         },
         other => return Err(format!("unknown scenario `{other}`")),
     };
-    let router = match flag_value(args, "--router")
-        .as_deref()
-        .unwrap_or("resilient")
-    {
+    let router = match inv.text("--router").unwrap_or_default() {
         "resilient" => RouterSpec::Resilient(abccc::RetryBudget {
-            bfs_fallback: !args.iter().any(|a| a == "--no-bfs"),
+            bfs_fallback: !inv.has("--no-bfs"),
             ..abccc::RetryBudget::default()
         }),
         "digit" => RouterSpec::Digit(abccc::PermStrategy::DestinationAware),
         "vlb" => RouterSpec::Vlb {
-            seed: num("--seed", 0)?,
+            seed: inv.num("--seed")?,
         },
         other => return Err(format!("unknown router `{other}`")),
     };
-    let sampling = match flag_value(args, "--pattern").as_deref().unwrap_or("random") {
+    let sampling = match inv.text("--pattern").unwrap_or_default() {
         "random" => PairSampling::UniformRandom {
-            pairs: num("--pairs", 64)? as usize,
+            pairs: inv.num("--pairs")?,
         },
         "permutation" => PairSampling::Permutation,
         "convergent" => PairSampling::Convergent,
@@ -923,14 +643,14 @@ fn resilience_cmd(args: &[String], json: bool) -> Result<(), String> {
         .scenario(scenario)
         .router(router)
         .sampling(sampling)
-        .trials(num("--trials", 8)? as usize)
-        .seed(num("--seed", 0)?)
-        .threads(num("--threads", 0)? as usize)
-        .measure_throughput(!args.iter().any(|a| a == "--no-throughput"))
+        .trials(inv.num("--trials")?)
+        .seed(inv.num("--seed")?)
+        .threads(inv.num("--threads")?)
+        .measure_throughput(!inv.has("--no-throughput"))
         .run_on(topo.as_ref())
         .map_err(|e| e.to_string())?;
 
-    if json {
+    if inv.has("--json") {
         return print_json(&report.to_value());
     }
     let s = &report.summary;
@@ -972,326 +692,224 @@ fn resilience_cmd(args: &[String], json: bool) -> Result<(), String> {
     Ok(())
 }
 
-fn fib_cmd(args: &[String], json: bool) -> Result<(), String> {
-    use dcn_fib::RouteService;
-    use netgraph::FaultScenario;
-
-    let sub = args
-        .first()
-        .ok_or("fib needs `compile`, `query` or `bench`")?;
-    let rest = &args[1..];
-    // Compiled FIBs are digit-indexed, so fib only runs on ABCCC: accept
-    // an `abccc:n,k,h` spec or the legacy `<n> <k> <h>` form.
-    let p = match rest.first().map(|a| is_topology_spec(a)) {
-        Some(true) => {
-            let (fam, params) = family::parse_spec(&rest[0]).map_err(|e| e.to_string())?;
-            if fam.name() != "abccc" {
-                return Err(format!(
-                    "fib {sub} requires an ABCCC topology, got `{}`",
-                    fam.name()
-                ));
-            }
-            params.parse::<AbcccParams>().map_err(|e| e.to_string())?
-        }
-        _ => {
-            if rest.len() < 3 {
-                return Err(format!("fib {sub} needs a topology spec or <n> <k> <h>"));
-            }
-            let n = parse_u32(&rest[0], "n")?;
-            let k = parse_u32(&rest[1], "k")?;
-            let h = parse_u32(&rest[2], "h")?;
-            AbcccParams::new(n, k, h).map_err(|e| e.to_string())?
-        }
-    };
-    let num = |flag: &str, default: u64| -> Result<u64, String> {
-        flag_value(rest, flag)
-            .map(|s| s.parse().map_err(|_| format!("{flag} expects a number")))
-            .transpose()
-            .map(|v| v.unwrap_or(default))
-    };
-    let fnum = |flag: &str, default: f64| -> Result<f64, String> {
-        flag_value(rest, flag)
-            .map(|s| s.parse().map_err(|_| format!("{flag} expects a number")))
-            .transpose()
-            .map(|v| v.unwrap_or(default))
-    };
-    let fail_rate = fnum("--fail-rate", 0.0)?;
-    let fail_seed = num("--fail-seed", 0)?;
-
-    let build_service = || -> Result<(RouteService, f64), String> {
-        let topo = Abccc::new(p).map_err(|e| e.to_string())?;
-        let t0 = std::time::Instant::now();
-        let mut svc = compile_service(rest, topo)?;
-        let compile_ms = t0.elapsed().as_secs_f64() * 1e3;
-        if fail_rate > 0.0 {
-            let mask = FaultScenario::seeded(fail_seed)
-                .fail_servers_frac(fail_rate)
-                .fail_switches_frac(fail_rate)
-                .build(svc.topo().network());
-            svc.apply_mask(mask);
-        }
-        Ok((svc, compile_ms))
-    };
-
-    match sub.as_str() {
-        "compile" => {
-            let (svc, compile_ms) = build_service()?;
-            let fib = svc.table();
-            if json {
-                return print_json(&Value::Map(
-                    [
-                        ("topology", Value::Str(p.to_string())),
-                        ("servers", Value::U64(u64::from(fib.servers()))),
-                        ("strategy", Value::Str(fib.strategy().label().to_string())),
-                        ("layout", Value::Str(fib.layout().label().to_string())),
-                        ("table_bytes", Value::U64(fib.bytes() as u64)),
-                        ("shards", Value::U64(svc.shard_count() as u64)),
-                        ("compile_ms", Value::F64(compile_ms)),
-                    ]
-                    .into_iter()
-                    .map(|(key, v)| (key.to_string(), v))
-                    .collect(),
-                ));
-            }
-            println!("{p}: compiled forwarding table");
-            println!("  strategy     {}", fib.strategy().label());
-            println!("  layout       {}", fib.layout().label());
-            println!("  servers      {}", fib.servers());
-            println!("  table size   {:.1} KiB", fib.bytes() as f64 / 1024.0);
-            println!("  shards       {}", svc.shard_count());
-            println!("  compile time {compile_ms:.2} ms");
-            Ok(())
-        }
-        "query" => {
-            if rest.len() < 5 {
-                return Err("fib query needs <n> <k> <h> <src> <dst>".into());
-            }
-            let s = parse_u32(&rest[3], "src")?;
-            let d = parse_u32(&rest[4], "dst")?;
-            if u64::from(s) >= p.server_count() || u64::from(d) >= p.server_count() {
-                return Err(format!("server ids must be < {}", p.server_count()));
-            }
-            let (svc, _) = build_service()?;
-            let out = svc.query(NodeId(s), NodeId(d)).map_err(|e| e.to_string())?;
-            if json {
-                return print_json(&Value::Map(
-                    [
-                        ("topology", Value::Str(p.to_string())),
-                        ("src", Value::U64(u64::from(s))),
-                        ("dst", Value::U64(u64::from(d))),
-                        ("tier", Value::Str(out.tier.label().to_string())),
-                        ("attempts", Value::U64(u64::from(out.attempts))),
-                        ("link_hops", Value::U64(out.route.link_hops() as u64)),
-                        (
-                            "nodes",
-                            Value::Seq(
-                                out.route
-                                    .nodes()
-                                    .iter()
-                                    .map(|node| Value::U64(u64::from(node.0)))
-                                    .collect(),
-                            ),
-                        ),
-                    ]
-                    .into_iter()
-                    .map(|(key, v)| (key.to_string(), v))
-                    .collect(),
-                ));
-            }
-            println!(
-                "{p}: {s} → {d} via compiled table ({} links, tier {}, {} attempt(s))",
-                out.route.link_hops(),
-                out.tier.label(),
-                out.attempts
-            );
-            let net = svc.topo().network();
-            for node in out.route.nodes() {
-                println!("  {:<6} {node}", net.kind(*node));
-            }
-            Ok(())
-        }
-        "bench" => {
-            let queries = num("--queries", 20_000)? as usize;
-            let seed = num("--seed", 21)?;
-            let (svc, compile_ms) = build_service()?;
-            use rand::{Rng, SeedableRng};
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let pairs: Vec<(NodeId, NodeId)> = (0..queries)
-                .map(|_| {
-                    (
-                        NodeId(rng.gen_range(0..p.server_count()) as u32),
-                        NodeId(rng.gen_range(0..p.server_count()) as u32),
-                    )
-                })
-                .collect();
-            // Record per-lookup latency (`fib.lookup_ns`) even without a
-            // global telemetry flag: the bench exists to report it.
-            let telemetry_was_on = dcn_telemetry::enabled();
-            dcn_telemetry::set_enabled(true);
-            let t0 = std::time::Instant::now();
-            let results = svc.query_batch(&pairs);
-            let qps = pairs.len() as f64 / t0.elapsed().as_secs_f64();
-            if !telemetry_was_on {
-                dcn_telemetry::set_enabled(false);
-            }
-            let lookup_ns = dcn_telemetry::registry()
-                .snapshot()
-                .histogram("fib.lookup_ns")
-                .cloned();
-
-            // Deterministic result digest: counts plus an FNV-1a hash over
-            // every returned node sequence. Identical for any --shards or
-            // thread count; `scripts/check.sh` compares digests byte-wise.
-            // The hop histogram is HDR-bucketed and value-addressed, so
-            // its quantiles share that guarantee (latency quantiles do
-            // not, and stay out of the digest).
-            let mut hops = dcn_telemetry::HdrHistogram::new();
-            let mut ok = 0u64;
-            let mut errors = 0u64;
-            let mut fallbacks = 0u64;
-            let mut total_link_hops = 0u64;
-            let mut hash: u64 = 0xcbf29ce484222325;
-            let mut eat = |v: u64| {
-                for b in v.to_le_bytes() {
-                    hash ^= u64::from(b);
-                    hash = hash.wrapping_mul(0x100000001b3);
-                }
-            };
-            for r in &results {
-                match r {
-                    Ok(out) => {
-                        ok += 1;
-                        if out.tier > abccc::RouteTier::Primary {
-                            fallbacks += 1;
-                        }
-                        total_link_hops += out.route.link_hops() as u64;
-                        hops.record(out.route.link_hops() as u64);
-                        for node in out.route.nodes() {
-                            eat(u64::from(node.0));
-                        }
-                    }
-                    Err(_) => {
-                        errors += 1;
-                        eat(u64::MAX);
-                    }
-                }
-            }
-            let digest = Value::Map(
-                [
-                    ("topology", Value::Str(p.to_string())),
-                    ("queries", Value::U64(queries as u64)),
-                    ("seed", Value::U64(seed)),
-                    ("fail_rate", Value::F64(fail_rate)),
-                    ("fail_seed", Value::U64(fail_seed)),
-                    ("ok", Value::U64(ok)),
-                    ("errors", Value::U64(errors)),
-                    ("fallbacks", Value::U64(fallbacks)),
-                    ("total_link_hops", Value::U64(total_link_hops)),
-                    ("hop_p50", Value::U64(hops.percentile(0.50))),
-                    ("hop_p99", Value::U64(hops.percentile(0.99))),
-                    ("hop_p999", Value::U64(hops.percentile(0.999))),
-                    ("hop_p9999", Value::U64(hops.percentile(0.9999))),
-                    ("route_hash", Value::U64(hash)),
-                ]
-                .into_iter()
-                .map(|(key, v)| (key.to_string(), v))
-                .collect(),
-            );
-            if let Some(path) = flag_value(rest, "--digest") {
-                let text = serde_json::to_string_pretty(&digest).map_err(|e| e.to_string())?;
-                std::fs::write(&path, text).map_err(|e| format!("writing {path}: {e}"))?;
-            }
-            if json {
-                return print_json(&digest);
-            }
-            println!("{p}: {queries} queries over {} shards", svc.shard_count());
-            println!("  compile time   {compile_ms:.2} ms");
-            println!("  throughput     {qps:.0} lookups/s (batched)");
-            println!("  ok / errors    {ok} / {errors}");
-            println!(
-                "  fallbacks      {fallbacks} (patched pairs: {})",
-                svc.patch_count()
-            );
-            println!(
-                "  link hops      p50≤{} p99≤{} p999≤{} p9999≤{} max={}",
-                hops.percentile(0.50),
-                hops.percentile(0.99),
-                hops.percentile(0.999),
-                hops.percentile(0.9999),
-                hops.max()
-            );
-            if let Some(l) = &lookup_ns {
-                println!(
-                    "  lookup ns      p50≤{} p99≤{} p999≤{} p9999≤{} max={} (n={})",
-                    l.p50, l.p99, l.p999, l.p9999, l.max, l.count
-                );
-            }
-            println!("  route hash     {hash:#018x}");
-            Ok(())
-        }
-        other => Err(format!("unknown fib subcommand `{other}`")),
-    }
-}
-
-/// Parses the ABCCC head shared by `serve` and `loadgen`: an
-/// `abccc:n,k,h` spec or the legacy `<n> <k> <h>` form (the served FIB is
-/// digit-indexed, so only ABCCC applies).
-fn parse_abccc_head(rest: &[String], what: &str) -> Result<AbcccParams, String> {
-    match rest.first().map(|a| is_topology_spec(a)) {
-        Some(true) => {
-            let (fam, params) = family::parse_spec(&rest[0]).map_err(|e| e.to_string())?;
-            if fam.name() != "abccc" {
-                return Err(format!(
-                    "{what} requires an ABCCC topology, got `{}`",
-                    fam.name()
-                ));
-            }
-            params.parse::<AbcccParams>().map_err(|e| e.to_string())
-        }
-        _ => {
-            if rest.len() < 3 {
-                return Err(format!("{what} needs a topology spec or <n> <k> <h>"));
-            }
-            let n = parse_u32(&rest[0], "n")?;
-            let k = parse_u32(&rest[1], "k")?;
-            let h = parse_u32(&rest[2], "h")?;
-            AbcccParams::new(n, k, h).map_err(|e| e.to_string())
-        }
-    }
-}
-
 /// Compiles the route service of `fib`, `serve` and `loadgen` from their
-/// shared `--shards` (default 8) and `--layout` (default hier) flags.
-fn compile_service(rest: &[String], topo: Abccc) -> Result<dcn_fib::RouteService, String> {
-    let shards: usize = match flag_value(rest, "--shards") {
-        None => 8,
-        Some(s) => s.parse().map_err(|_| "--shards expects a number")?,
-    };
-    let layout = match flag_value(rest, "--layout") {
-        None => dcn_fib::FibLayout::Hier,
-        Some(s) => dcn_fib::FibLayout::parse(&s)
-            .ok_or_else(|| format!("unknown layout `{s}` (hier|dense)"))?,
-    };
-    dcn_fib::RouteService::compile_with_layout(topo, layout, shards).map_err(|e| e.to_string())
+/// shared `--shards` and `--layout` flags.
+fn compile_service(inv: &Invocation, p: AbcccParams) -> Result<dcn_fib::RouteService, String> {
+    let layout = inv.text("--layout").unwrap_or_default();
+    let layout = dcn_fib::FibLayout::parse(layout)
+        .ok_or_else(|| format!("unknown layout `{layout}` (hier|dense)"))?;
+    let topo = abccc::Abccc::new(p).map_err(|e| e.to_string())?;
+    dcn_fib::RouteService::compile_with_layout(topo, layout, inv.num("--shards")?)
+        .map_err(|e| e.to_string())
 }
 
-fn serve_cmd(args: &[String]) -> Result<(), String> {
-    use dcn_serve::{RouteServer, ServeConfig};
-    let p = parse_abccc_head(args, "serve")?;
-    let num = |flag: &str, default: u64| -> Result<u64, String> {
-        flag_value(args, flag)
-            .map(|s| s.parse().map_err(|_| format!("{flag} expects a number")))
-            .transpose()
-            .map(|v| v.unwrap_or(default))
+/// The `fib` service: compiled, masked by `--fail-rate`/`--fail-seed`,
+/// and its compile time in ms.
+fn fib_service(inv: &Invocation, p: AbcccParams) -> Result<(dcn_fib::RouteService, f64), String> {
+    let fail_rate: f64 = inv.num("--fail-rate")?;
+    let t0 = std::time::Instant::now();
+    let mut svc = compile_service(inv, p)?;
+    let compile_ms = t0.elapsed().as_secs_f64() * 1e3;
+    if fail_rate > 0.0 {
+        let mask = netgraph::FaultScenario::seeded(inv.num("--fail-seed")?)
+            .fail_servers_frac(fail_rate)
+            .fail_switches_frac(fail_rate)
+            .build(svc.topo().network());
+        svc.apply_mask(mask);
+    }
+    Ok((svc, compile_ms))
+}
+
+fn fib_compile(inv: &Invocation) -> Result<(), String> {
+    let (p, _) = abccc_head(&inv.operands, inv.command.name)?;
+    let (svc, compile_ms) = fib_service(inv, p)?;
+    let fib = svc.table();
+    if inv.has("--json") {
+        return print_json(&object([
+            ("topology", Value::Str(p.to_string())),
+            ("servers", Value::U64(u64::from(fib.servers()))),
+            ("strategy", Value::Str(fib.strategy().label().to_string())),
+            ("layout", Value::Str(fib.layout().label().to_string())),
+            ("table_bytes", Value::U64(fib.bytes() as u64)),
+            ("shards", Value::U64(svc.shard_count() as u64)),
+            ("compile_ms", Value::F64(compile_ms)),
+        ]));
+    }
+    println!("{p}: compiled forwarding table");
+    println!("  strategy     {}", fib.strategy().label());
+    println!("  layout       {}", fib.layout().label());
+    println!("  servers      {}", fib.servers());
+    println!("  table size   {:.1} KiB", fib.bytes() as f64 / 1024.0);
+    println!("  shards       {}", svc.shard_count());
+    println!("  compile time {compile_ms:.2} ms");
+    Ok(())
+}
+
+fn fib_query(inv: &Invocation) -> Result<(), String> {
+    let (p, used) = abccc_head(&inv.operands, inv.command.name)?;
+    let (src, dst) = endpoints(p.server_count() as usize, &inv.operands, used)?;
+    let (s, d) = (src.0, dst.0);
+    let (svc, _) = fib_service(inv, p)?;
+    let out = svc.query(src, dst).map_err(|e| e.to_string())?;
+    if inv.has("--json") {
+        return print_json(&object([
+            ("topology", Value::Str(p.to_string())),
+            ("src", Value::U64(u64::from(s))),
+            ("dst", Value::U64(u64::from(d))),
+            ("tier", Value::Str(out.tier.label().to_string())),
+            ("attempts", Value::U64(u64::from(out.attempts))),
+            ("link_hops", Value::U64(out.route.link_hops() as u64)),
+            (
+                "nodes",
+                Value::Seq(
+                    out.route
+                        .nodes()
+                        .iter()
+                        .map(|node| Value::U64(u64::from(node.0)))
+                        .collect(),
+                ),
+            ),
+        ]));
+    }
+    println!(
+        "{p}: {s} → {d} via compiled table ({} links, tier {}, {} attempt(s))",
+        out.route.link_hops(),
+        out.tier.label(),
+        out.attempts
+    );
+    let net = svc.topo().network();
+    for node in out.route.nodes() {
+        println!("  {:<6} {node}", net.kind(*node));
+    }
+    Ok(())
+}
+
+fn fib_bench(inv: &Invocation) -> Result<(), String> {
+    let (p, _) = abccc_head(&inv.operands, inv.command.name)?;
+    let queries: usize = inv.num("--queries")?;
+    let seed: u64 = inv.num("--seed")?;
+    let (svc, compile_ms) = fib_service(inv, p)?;
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let pairs: Vec<(NodeId, NodeId)> = (0..queries)
+        .map(|_| {
+            (
+                NodeId(rng.gen_range(0..p.server_count()) as u32),
+                NodeId(rng.gen_range(0..p.server_count()) as u32),
+            )
+        })
+        .collect();
+    // Record per-lookup latency (`fib.lookup_ns`) even without a
+    // global telemetry flag: the bench exists to report it.
+    let telemetry_was_on = dcn_telemetry::enabled();
+    dcn_telemetry::set_enabled(true);
+    let t0 = std::time::Instant::now();
+    let results = svc.query_batch(&pairs);
+    let qps = pairs.len() as f64 / t0.elapsed().as_secs_f64();
+    if !telemetry_was_on {
+        dcn_telemetry::set_enabled(false);
+    }
+    let lookup_ns = dcn_telemetry::registry()
+        .snapshot()
+        .histogram("fib.lookup_ns")
+        .cloned();
+
+    // Deterministic result digest: counts plus an FNV-1a hash over
+    // every returned node sequence. Identical for any --shards or
+    // thread count; `scripts/check.sh` compares digests byte-wise.
+    // The hop histogram is HDR-bucketed and value-addressed, so
+    // its quantiles share that guarantee (latency quantiles do
+    // not, and stay out of the digest).
+    let mut hops = dcn_telemetry::HdrHistogram::new();
+    let mut ok = 0u64;
+    let mut errors = 0u64;
+    let mut fallbacks = 0u64;
+    let mut total_link_hops = 0u64;
+    let mut hash: u64 = 0xcbf29ce484222325;
+    let mut eat = |v: u64| {
+        for b in v.to_le_bytes() {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x100000001b3);
+        }
     };
-    let port = num("--port", 0)? as u16;
-    let mut cfg = ServeConfig {
-        port,
+    for r in &results {
+        match r {
+            Ok(out) => {
+                ok += 1;
+                if out.tier > abccc::RouteTier::Primary {
+                    fallbacks += 1;
+                }
+                total_link_hops += out.route.link_hops() as u64;
+                hops.record(out.route.link_hops() as u64);
+                for node in out.route.nodes() {
+                    eat(u64::from(node.0));
+                }
+            }
+            Err(_) => {
+                errors += 1;
+                eat(u64::MAX);
+            }
+        }
+    }
+    let digest = object([
+        ("topology", Value::Str(p.to_string())),
+        ("queries", Value::U64(queries as u64)),
+        ("seed", Value::U64(seed)),
+        ("fail_rate", Value::F64(inv.num("--fail-rate")?)),
+        ("fail_seed", Value::U64(inv.num("--fail-seed")?)),
+        ("ok", Value::U64(ok)),
+        ("errors", Value::U64(errors)),
+        ("fallbacks", Value::U64(fallbacks)),
+        ("total_link_hops", Value::U64(total_link_hops)),
+        ("hop_p50", Value::U64(hops.percentile(0.50))),
+        ("hop_p99", Value::U64(hops.percentile(0.99))),
+        ("hop_p999", Value::U64(hops.percentile(0.999))),
+        ("hop_p9999", Value::U64(hops.percentile(0.9999))),
+        ("route_hash", Value::U64(hash)),
+    ]);
+    if let Some(path) = inv.text("--digest") {
+        let text = serde_json::to_string_pretty(&digest).map_err(|e| e.to_string())?;
+        std::fs::write(path, text).map_err(|e| format!("writing {path}: {e}"))?;
+    }
+    if inv.has("--json") {
+        return print_json(&digest);
+    }
+    println!("{p}: {queries} queries over {} shards", svc.shard_count());
+    println!("  compile time   {compile_ms:.2} ms");
+    println!("  throughput     {qps:.0} lookups/s (batched)");
+    println!("  ok / errors    {ok} / {errors}");
+    println!(
+        "  fallbacks      {fallbacks} (patched pairs: {})",
+        svc.patch_count()
+    );
+    println!(
+        "  link hops      p50≤{} p99≤{} p999≤{} p9999≤{} max={}",
+        hops.percentile(0.50),
+        hops.percentile(0.99),
+        hops.percentile(0.999),
+        hops.percentile(0.9999),
+        hops.max()
+    );
+    if let Some(l) = &lookup_ns {
+        println!(
+            "  lookup ns      p50≤{} p99≤{} p999≤{} p9999≤{} max={} (n={})",
+            l.p50, l.p99, l.p999, l.p9999, l.max, l.count
+        );
+    }
+    println!("  route hash     {hash:#018x}");
+    Ok(())
+}
+
+fn serve_cmd(inv: &Invocation) -> Result<(), String> {
+    use dcn_serve::{RouteServer, ServeConfig};
+    let (p, _) = abccc_head(&inv.operands, "serve")?;
+    let cfg = ServeConfig {
+        port: inv.num("--port")?,
+        max_inflight: inv.num("--max-inflight")?,
+        max_batch: inv.num("--max-batch")?,
         ..ServeConfig::default()
     };
-    cfg.max_inflight = num("--max-inflight", cfg.max_inflight as u64)? as usize;
-    cfg.max_batch = num("--max-batch", cfg.max_batch as u64)? as usize;
-    let svc = compile_service(args, Abccc::new(p).map_err(|e| e.to_string())?)?;
+    let svc = compile_service(inv, p)?;
     let servers = svc.table().servers();
     let shards = svc.shard_count();
     let server = RouteServer::spawn(svc, cfg).map_err(|e| format!("bind: {e}"))?;
@@ -1310,29 +928,22 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn loadgen_cmd(args: &[String], json: bool) -> Result<(), String> {
+fn loadgen_cmd(inv: &Invocation) -> Result<(), String> {
     use dcn_serve::loadgen::{run_loopback, LoadgenConfig};
     use dcn_serve::ServeConfig;
-    let p = parse_abccc_head(args, "loadgen")?;
-    let num = |flag: &str, default: u64| -> Result<u64, String> {
-        flag_value(args, flag)
-            .map(|s| s.parse().map_err(|_| format!("{flag} expects a number")))
-            .transpose()
-            .map(|v| v.unwrap_or(default))
-    };
-    let defaults = LoadgenConfig::default();
+    let (p, _) = abccc_head(&inv.operands, "loadgen")?;
     let cfg = LoadgenConfig {
-        connections: num("--connections", defaults.connections as u64)? as usize,
-        frames: num("--frames", defaults.frames as u64)? as usize,
-        batch: num("--batch", defaults.batch as u64)? as usize,
-        window: num("--window", defaults.window as u64)? as usize,
-        seed: num("--seed", defaults.seed)?,
+        connections: inv.num("--connections")?,
+        frames: inv.num("--frames")?,
+        batch: inv.num("--batch")?,
+        window: inv.num("--window")?,
+        seed: inv.num("--seed")?,
     };
-    let svc = compile_service(args, Abccc::new(p).map_err(|e| e.to_string())?)?;
+    let svc = compile_service(inv, p)?;
     let shards = svc.shard_count();
     let (report, drain) =
         run_loopback(svc, ServeConfig::default(), &cfg).map_err(|e| e.to_string())?;
-    if json {
+    if inv.has("--json") {
         return print_json(&with_entries(
             report.to_value(),
             vec![
@@ -1361,271 +972,170 @@ fn loadgen_cmd(args: &[String], json: bool) -> Result<(), String> {
     Ok(())
 }
 
-fn topo_cmd(args: &[String], json: bool) -> Result<(), String> {
-    let sub = args.first().ok_or("topo needs `stats`")?;
-    let rest = &args[1..];
-    match sub.as_str() {
-        "stats" => {
-            let mut rest: Vec<String> = rest.to_vec();
-            let estimate = take_flag(&mut rest, "--estimate");
-            let samples: usize = match take_flag_value(&mut rest, "--samples") {
-                None => 64,
-                Some(s) => s.parse().map_err(|_| "--samples expects a number")?,
-            };
-            let seed: u64 = match take_flag_value(&mut rest, "--seed") {
-                None => 7,
-                Some(s) => s.parse().map_err(|_| "--seed expects a number")?,
-            };
-            let trials: usize = match take_flag_value(&mut rest, "--trials") {
-                None => 4,
-                Some(s) => s.parse().map_err(|_| "--trials expects a number")?,
-            };
-            let (topo, _) = parse_topology(&rest)?;
-            let net = topo.network();
-            if !estimate {
-                // Exact path: same engine `props` uses, without the CAPEX
-                // extras — diameter/APL only where the sweep is feasible.
-                let small = net.server_count() <= 2048;
-                let stats = if small {
-                    dcn_metrics::TopologyStats::measure(topo.as_ref())
-                } else {
-                    dcn_metrics::TopologyStats::quick(topo.as_ref())
-                };
-                if json {
-                    return print_json(&stats.to_value());
-                }
-                println!("{}", stats.name);
-                println!("  servers   {}", stats.servers);
-                println!("  switches  {}", stats.switches);
-                println!("  wires     {}", stats.wires);
-                match stats.diameter_server_hops {
-                    Some(d) => println!("  diameter  {d} server hops (exact)"),
-                    None => println!("  diameter  - (use --estimate at this size)"),
-                }
-                if let Some(apl) = stats.avg_path_length {
-                    println!("  APL       {apl:.4} server hops (exact)");
-                }
-                return Ok(());
-            }
-            // Sampled path: seeded source sampling, byte-identical at any
-            // thread count (the smoke test compares digests across runs).
-            let metrics = netgraph::sample::sampled_server_metrics(net, samples, seed)
-                .ok_or("sampled metrics unavailable (disconnected or <2 servers)")?;
-            let bisection = netgraph::sample::sampled_bisection(net, trials, seed)
-                .ok_or("sampled bisection unavailable")?;
-            if json {
-                return print_json(&Value::Map(
-                    [
-                        ("topology", Value::Str(topo.name())),
-                        ("servers", Value::U64(net.server_count() as u64)),
-                        ("switches", Value::U64(net.switch_count() as u64)),
-                        ("wires", Value::U64(net.link_count() as u64)),
-                        ("samples", Value::U64(metrics.apl.samples as u64)),
-                        ("seed", Value::U64(seed)),
-                        (
-                            "diameter_lower_bound",
-                            Value::U64(u64::from(metrics.diameter_lb)),
-                        ),
-                        ("apl_mean", Value::F64(metrics.apl.mean)),
-                        ("apl_ci95", Value::F64(metrics.apl.ci95)),
-                        ("bisection_trials", Value::U64(bisection.trials as u64)),
-                        ("bisection_min_cut", Value::U64(bisection.min_cut)),
-                        ("bisection_mean_cut", Value::F64(bisection.mean_cut)),
-                    ]
-                    .into_iter()
-                    .map(|(key, v)| (key.to_string(), v))
-                    .collect(),
-                ));
-            }
-            println!("{} (sampled, seed {seed})", topo.name());
-            println!("  servers       {}", net.server_count());
-            println!("  switches      {}", net.switch_count());
-            println!("  wires         {}", net.link_count());
-            println!(
-                "  diameter      ≥ {} server hops ({} sources)",
-                metrics.diameter_lb, metrics.apl.samples
-            );
-            println!(
-                "  APL           {:.4} ± {:.4} server hops (95% CI)",
-                metrics.apl.mean, metrics.apl.ci95
-            );
-            println!(
-                "  bisection     ≤ {} links (min of {} balanced probes, mean {:.1})",
-                bisection.min_cut, bisection.trials, bisection.mean_cut
-            );
-            Ok(())
+fn topo_stats(inv: &Invocation) -> Result<(), String> {
+    let samples: usize = inv.num("--samples")?;
+    let seed: u64 = inv.num("--seed")?;
+    let trials: usize = inv.num("--trials")?;
+    let json = inv.has("--json");
+    let (topo, _) = parse_topology(&inv.operands)?;
+    let net = topo.network();
+    if !inv.has("--estimate") {
+        // Exact path: same engine `props` uses, without the CAPEX
+        // extras — diameter/APL only where the sweep is feasible.
+        let small = net.server_count() <= 2048;
+        let stats = if small {
+            dcn_metrics::TopologyStats::measure(topo.as_ref())
+        } else {
+            dcn_metrics::TopologyStats::quick(topo.as_ref())
+        };
+        if json {
+            return print_json(&stats.to_value());
         }
-        other => Err(format!("unknown topo subcommand `{other}`")),
+        println!("{}", stats.name);
+        println!("  servers   {}", stats.servers);
+        println!("  switches  {}", stats.switches);
+        println!("  wires     {}", stats.wires);
+        match stats.diameter_server_hops {
+            Some(d) => println!("  diameter  {d} server hops (exact)"),
+            None => println!("  diameter  - (use --estimate at this size)"),
+        }
+        if let Some(apl) = stats.avg_path_length {
+            println!("  APL       {apl:.4} server hops (exact)");
+        }
+        return Ok(());
     }
+    // Sampled path: seeded source sampling, byte-identical at any
+    // thread count (the smoke test compares digests across runs).
+    let metrics = netgraph::sample::sampled_server_metrics(net, samples, seed)
+        .ok_or("sampled metrics unavailable (disconnected or <2 servers)")?;
+    let bisection = netgraph::sample::sampled_bisection(net, trials, seed)
+        .ok_or("sampled bisection unavailable")?;
+    if json {
+        return print_json(&object([
+            ("topology", Value::Str(topo.name())),
+            ("servers", Value::U64(net.server_count() as u64)),
+            ("switches", Value::U64(net.switch_count() as u64)),
+            ("wires", Value::U64(net.link_count() as u64)),
+            ("samples", Value::U64(metrics.apl.samples as u64)),
+            ("seed", Value::U64(seed)),
+            (
+                "diameter_lower_bound",
+                Value::U64(u64::from(metrics.diameter_lb)),
+            ),
+            ("apl_mean", Value::F64(metrics.apl.mean)),
+            ("apl_ci95", Value::F64(metrics.apl.ci95)),
+            ("bisection_trials", Value::U64(bisection.trials as u64)),
+            ("bisection_min_cut", Value::U64(bisection.min_cut)),
+            ("bisection_mean_cut", Value::F64(bisection.mean_cut)),
+        ]));
+    }
+    println!("{} (sampled, seed {seed})", topo.name());
+    println!("  servers       {}", net.server_count());
+    println!("  switches      {}", net.switch_count());
+    println!("  wires         {}", net.link_count());
+    println!(
+        "  diameter      ≥ {} server hops ({} sources)",
+        metrics.diameter_lb, metrics.apl.samples
+    );
+    println!(
+        "  APL           {:.4} ± {:.4} server hops (95% CI)",
+        metrics.apl.mean, metrics.apl.ci95
+    );
+    println!(
+        "  bisection     ≤ {} links (min of {} balanced probes, mean {:.1})",
+        bisection.min_cut, bisection.trials, bisection.mean_cut
+    );
+    Ok(())
 }
 
-fn experiments_cmd(args: &[String]) -> Result<(), String> {
-    use abccc_bench::engine::{run, RunOptions};
-    use abccc_bench::registry::{all, find, Preset};
-
-    let sub = args.first().ok_or("experiments needs `list` or `run`")?;
-    let rest = &args[1..];
-    match sub.as_str() {
-        "list" => {
-            println!(
-                "{:<20} {:<11} {:>4} {:>5} {:>5}  summary",
-                "name", "paper ref", "tiny", "paper", "scale"
-            );
-            for spec in all() {
-                println!(
-                    "{:<20} {:<11} {:>4} {:>5} {:>5}  {}",
-                    spec.name(),
-                    spec.paper_ref(),
-                    spec.points(Preset::Tiny).len(),
-                    spec.points(Preset::Paper).len(),
-                    spec.points(Preset::Scale).len(),
-                    spec.summary(),
-                );
-            }
-            println!("(point counts are grid points per preset)");
-            Ok(())
-        }
-        "run" => {
-            let mut rest: Vec<String> = rest.to_vec();
-            let run_all = take_flag(&mut rest, "--all");
-            let preset = match take_flag_value(&mut rest, "--preset") {
-                None => Preset::Paper,
-                Some(p) => Preset::parse(&p)
-                    .ok_or_else(|| format!("unknown preset `{p}` (tiny|paper|scale)"))?,
-            };
-            let json_dir = take_flag_value(&mut rest, "--json").map(Into::into);
-            let threads: usize = match take_flag_value(&mut rest, "--threads") {
-                None => 0,
-                Some(t) => t.parse().map_err(|_| "--threads expects a number")?,
-            };
-            if let Some(bad) = rest.iter().find(|a| a.starts_with("--")) {
-                return Err(format!("unknown flag `{bad}` for experiments run"));
-            }
-            let specs: Vec<&'static dyn abccc_bench::registry::Experiment> = if run_all {
-                if !rest.is_empty() {
-                    return Err("give either --all or experiment names, not both".into());
-                }
-                all().to_vec()
-            } else {
-                if rest.is_empty() {
-                    return Err(
-                        "experiments run needs names or --all (see `experiments list`)".into(),
-                    );
-                }
-                rest.iter()
-                    .map(|name| {
-                        find(name).ok_or_else(|| {
-                            format!("unknown experiment `{name}` (see `experiments list`)")
-                        })
-                    })
-                    .collect::<Result<_, _>>()?
-            };
-            let opts = RunOptions {
-                preset,
-                threads,
-                json_dir,
-                print_tables: true,
-                print_summary: true,
-            };
-            run(&specs, &opts)?;
-            Ok(())
-        }
-        other => Err(format!("unknown experiments subcommand `{other}`")),
+fn experiments_list() -> Result<(), String> {
+    use abccc_bench::registry::{all, Preset};
+    println!(
+        "{:<20} {:<11} {:>4} {:>5} {:>5}  summary",
+        "name", "paper ref", "tiny", "paper", "scale"
+    );
+    for spec in all() {
+        println!(
+            "{:<20} {:<11} {:>4} {:>5} {:>5}  {}",
+            spec.name(),
+            spec.paper_ref(),
+            spec.points(Preset::Tiny).len(),
+            spec.points(Preset::Paper).len(),
+            spec.points(Preset::Scale).len(),
+            spec.summary(),
+        );
     }
+    println!("(point counts are grid points per preset)");
+    Ok(())
 }
 
-/// `perf record|diff|trace-stat` — the performance sentinel.
+/// The `--preset` of `experiments run` and `perf`.
+fn preset(inv: &Invocation) -> Result<abccc_bench::registry::Preset, String> {
+    let name = inv.text("--preset").unwrap_or_default();
+    abccc_bench::registry::Preset::parse(name)
+        .ok_or_else(|| format!("unknown preset `{name}` (tiny|paper|scale)"))
+}
+
+/// The experiments the operands name, or every one for `--all` (and,
+/// when `all_by_default`, for no names).
+fn selected_experiments(
+    inv: &Invocation,
+    all_by_default: bool,
+) -> Result<Vec<&'static dyn abccc_bench::registry::Experiment>, String> {
+    use abccc_bench::registry::{all, find};
+    let names = &inv.operands;
+    if inv.has("--all") || (all_by_default && names.is_empty()) {
+        if !names.is_empty() {
+            return Err("give either --all or experiment names, not both".into());
+        }
+        return Ok(all().to_vec());
+    }
+    if names.is_empty() {
+        return Err("experiments run needs names or --all (see `experiments list`)".into());
+    }
+    names
+        .iter()
+        .map(|name| {
+            find(name)
+                .ok_or_else(|| format!("unknown experiment `{name}` (see `experiments list`)"))
+        })
+        .collect()
+}
+
+fn experiments_run(inv: &Invocation) -> Result<(), String> {
+    let opts = abccc_bench::engine::RunOptions {
+        preset: preset(inv)?,
+        threads: inv.num("--threads")?,
+        json_dir: inv.text("--json").map(Into::into),
+        print_tables: true,
+        print_summary: true,
+    };
+    abccc_bench::engine::run(&selected_experiments(inv, false)?, &opts)?;
+    Ok(())
+}
+
+/// `perf record|diff` — the performance sentinel.
 ///
-/// `record` and `diff` run the selected experiments `--runs` times
-/// through the sweep engine (no artifact directory needed), fold each
-/// experiment's repetitions into a component-wise median
+/// Both run the selected experiments `--runs` times through the sweep
+/// engine (no artifact directory needed), fold each experiment's
+/// repetitions into a component-wise median
 /// [`dcn_telemetry::PerfRecord`], and either store them as baselines or
 /// compare them against the stored ones. `diff` exits nonzero when any
 /// metric crosses both the relative and absolute regression gates.
-fn perf_cmd(args: &[String], json: bool) -> Result<ExitCode, String> {
-    use abccc_bench::engine::{run, RunOptions};
-    use abccc_bench::registry::{all, find, Preset};
-
-    let sub = args
-        .first()
-        .ok_or("perf needs `record`, `diff` or `trace-stat`")?;
-    let mut rest: Vec<String> = args[1..].to_vec();
-
-    if sub == "trace-stat" {
-        let path = rest.first().ok_or("perf trace-stat needs a FILE")?;
-        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        let stat = trace_stat(&text)?;
-        if json {
-            return print_json(&Value::Map(
-                [
-                    ("file", Value::Str(path.clone())),
-                    ("spans", Value::U64(stat.spans)),
-                    ("lanes", Value::U64(stat.lanes)),
-                    ("roots", Value::U64(stat.roots)),
-                ]
-                .into_iter()
-                .map(|(key, v)| (key.to_string(), v))
-                .collect(),
-            ))
-            .map(|()| ExitCode::SUCCESS);
-        }
-        println!(
-            "{path}: valid Chrome trace, {} spans, {} lanes, {} roots",
-            stat.spans, stat.lanes, stat.roots
-        );
-        return Ok(ExitCode::SUCCESS);
-    }
-    if sub != "record" && sub != "diff" {
-        return Err(format!("unknown perf subcommand `{sub}`"));
-    }
-
-    let run_all = take_flag(&mut rest, "--all");
-    let preset = match take_flag_value(&mut rest, "--preset") {
-        None => Preset::Tiny,
-        Some(p) => {
-            Preset::parse(&p).ok_or_else(|| format!("unknown preset `{p}` (tiny|paper|scale)"))?
-        }
-    };
-    let runs: usize = match take_flag_value(&mut rest, "--runs") {
-        None => 3,
-        Some(r) => match r.parse() {
-            Ok(n) if n >= 1 => n,
-            _ => return Err("--runs expects a number ≥ 1".into()),
-        },
-    };
-    let threads: usize = match take_flag_value(&mut rest, "--threads") {
-        None => 0,
-        Some(t) => t.parse().map_err(|_| "--threads expects a number")?,
-    };
-    let baselines_dir = take_flag_value(&mut rest, "--baselines")
-        .unwrap_or_else(|| "bench_results/baselines".to_string());
-    let rel: Option<f64> = take_flag_value(&mut rest, "--rel")
-        .map(|r| r.parse().map_err(|_| "--rel expects a number"))
-        .transpose()?;
-    if let Some(bad) = rest.iter().find(|a| a.starts_with("--")) {
-        return Err(format!("unknown flag `{bad}` for perf {sub}"));
-    }
-    let specs: Vec<&'static dyn abccc_bench::registry::Experiment> = if rest.is_empty() || run_all {
-        if run_all && !rest.is_empty() {
-            return Err("give either --all or experiment names, not both".into());
-        }
-        all().to_vec()
-    } else {
-        rest.iter()
-            .map(|name| {
-                find(name)
-                    .ok_or_else(|| format!("unknown experiment `{name}` (see `experiments list`)"))
-            })
-            .collect::<Result<_, _>>()?
-    };
+fn perf_cmd(inv: &Invocation) -> Result<ExitCode, String> {
+    let json = inv.has("--json");
+    let specs = selected_experiments(inv, true)?;
+    let preset = preset(inv)?;
+    let runs: usize = inv.num("--runs")?;
+    let baselines_dir = inv.text("--baselines").unwrap_or_default();
 
     // Measure: N quiet engine runs, telemetry reset before each so every
     // repetition's histograms and gauges stand alone (this also discards
     // any spans recorded earlier in the process — perf is a measurement
     // command, not a tracing one).
-    let opts = RunOptions {
+    let opts = abccc_bench::engine::RunOptions {
         preset,
-        threads,
+        threads: inv.num("--threads")?,
         json_dir: None,
         print_tables: false,
         print_summary: false,
@@ -1633,7 +1143,7 @@ fn perf_cmd(args: &[String], json: bool) -> Result<ExitCode, String> {
     let mut per_run: Vec<Vec<dcn_telemetry::PerfRecord>> = Vec::with_capacity(runs);
     for _ in 0..runs {
         dcn_telemetry::reset();
-        let report = run(&specs, &opts)?;
+        let report = abccc_bench::engine::run(&specs, &opts)?;
         per_run.push(
             report
                 .manifests
@@ -1653,21 +1163,16 @@ fn perf_cmd(args: &[String], json: bool) -> Result<ExitCode, String> {
         })
         .collect();
 
-    if sub == "record" {
-        dcn_telemetry::save_baselines(&baselines_dir, &current)
+    if inv.command.name == "perf record" {
+        dcn_telemetry::save_baselines(baselines_dir, &current)
             .map_err(|e| format!("writing {baselines_dir}: {e}"))?;
         if json {
-            print_json(&Value::Map(
-                [
-                    ("recorded", Value::U64(current.len() as u64)),
-                    ("preset", Value::Str(preset.to_string())),
-                    ("runs", Value::U64(runs as u64)),
-                    ("dir", Value::Str(baselines_dir.clone())),
-                ]
-                .into_iter()
-                .map(|(key, v)| (key.to_string(), v))
-                .collect(),
-            ))?;
+            print_json(&object([
+                ("recorded", Value::U64(current.len() as u64)),
+                ("preset", Value::Str(preset.to_string())),
+                ("runs", Value::U64(runs as u64)),
+                ("dir", Value::Str(baselines_dir.to_string())),
+            ]))?;
         } else {
             println!(
                 "recorded {} baseline(s) (preset {preset}, median of {runs} run(s)) to {baselines_dir}",
@@ -1677,16 +1182,16 @@ fn perf_cmd(args: &[String], json: bool) -> Result<ExitCode, String> {
         return Ok(ExitCode::SUCCESS);
     }
 
-    let baselines = dcn_telemetry::load_baselines(&baselines_dir)?;
+    let baselines = dcn_telemetry::load_baselines(baselines_dir)?;
     if baselines.is_empty() {
         return Err(format!(
             "no baselines under {baselines_dir} — run `abccc-cli perf record` first"
         ));
     }
-    let mut thresholds = dcn_telemetry::DiffThresholds::default();
-    if let Some(rel) = rel {
-        thresholds.rel = rel;
-    }
+    let thresholds = dcn_telemetry::DiffThresholds {
+        rel: inv.num("--rel")?,
+        ..dcn_telemetry::DiffThresholds::default()
+    };
     let verdict = dcn_telemetry::diff(&baselines, &current, &thresholds);
     if json {
         println!("{}", verdict.to_json());
@@ -1700,17 +1205,13 @@ fn perf_cmd(args: &[String], json: bool) -> Result<ExitCode, String> {
     })
 }
 
-/// Summary of a Chrome trace file: complete spans, distinct thread
-/// lanes, root spans (`args.parent == 0`).
-struct TraceStat {
-    spans: u64,
-    lanes: u64,
-    roots: u64,
-}
-
-/// Parses and validates `--trace-out` output.
-fn trace_stat(text: &str) -> Result<TraceStat, String> {
-    let v: Value = serde_json::from_str(text).map_err(|e| format!("invalid JSON: {e}"))?;
+/// `perf trace-stat FILE`: validates a `--trace-out` Chrome trace and
+/// counts its complete spans, distinct thread lanes and root spans
+/// (`args.parent == 0`).
+fn trace_stat_cmd(inv: &Invocation) -> Result<(), String> {
+    let path = inv.operands.first().ok_or("perf trace-stat needs a FILE")?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let v: Value = serde_json::from_str(&text).map_err(|e| format!("invalid JSON: {e}"))?;
     let events = v
         .as_map()
         .and_then(|m| m.iter().find(|(k, _)| k == "traceEvents"))
@@ -1722,9 +1223,7 @@ fn trace_stat(text: &str) -> Result<TraceStat, String> {
             .find(|(k, _)| k == key)
             .map(|(_, v)| v.clone())
     };
-    let mut spans = 0u64;
-    let mut roots = 0u64;
-    let mut lanes: Vec<u64> = Vec::new();
+    let (mut spans, mut roots, mut lanes) = (0u64, 0u64, Vec::new());
     for ev in events {
         if field(ev, "ph") != Some(Value::Str("X".to_string())) {
             continue;
@@ -1742,18 +1241,24 @@ fn trace_stat(text: &str) -> Result<TraceStat, String> {
             roots += 1;
         }
     }
-    Ok(TraceStat {
-        spans,
-        lanes: lanes.len() as u64,
-        roots,
-    })
+    let lanes = lanes.len() as u64;
+    if inv.has("--json") {
+        return print_json(&object([
+            ("file", Value::Str(path.clone())),
+            ("spans", Value::U64(spans)),
+            ("lanes", Value::U64(lanes)),
+            ("roots", Value::U64(roots)),
+        ]));
+    }
+    println!("{path}: valid Chrome trace, {spans} spans, {lanes} lanes, {roots} roots");
+    Ok(())
 }
 
-fn capex(args: &[String], json: bool) -> Result<(), String> {
-    let (topo, _) = parse_topology(args)?;
+fn capex(inv: &Invocation) -> Result<(), String> {
+    let (topo, _) = parse_topology(&inv.operands)?;
     let stats = dcn_metrics::TopologyStats::quick(topo.as_ref());
     let c = dcn_metrics::CostModel::default().capex(&stats);
-    if json {
+    if inv.has("--json") {
         return print_json(&with_entries(
             c.to_value(),
             vec![

@@ -1,23 +1,40 @@
 //! End-to-end smoke tests of the `abccc-cli` binary: every subcommand is
 //! invoked through a real process and its stdout/stderr checked.
 
-use std::process::Command;
+use std::process::{Command, Output};
+use std::sync::{PoisonError, RwLock};
 
-fn cli(args: &[&str]) -> std::process::Output {
+/// Every test's CLI processes hold this for reading; the perf test, whose
+/// `--runs 1` timings would see sibling processes competing for the cores,
+/// holds it for writing, so its processes run alone. It guards no data,
+/// so a lock poisoned by a failed test is still safe to take.
+static CORES: RwLock<()> = RwLock::new(());
+
+/// Runs the CLI without taking [`CORES`].
+fn exec(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_abccc-cli"))
         .args(args)
         .output()
         .expect("binary runs")
 }
 
-fn stdout(args: &[&str]) -> String {
-    let out = cli(args);
+fn cli(args: &[&str]) -> Output {
+    let _shared = CORES.read().unwrap_or_else(PoisonError::into_inner);
+    exec(args)
+}
+
+/// The stdout of a run that must succeed.
+fn success(args: &[&str], out: Output) -> String {
     assert!(
         out.status.success(),
         "`{args:?}` failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
     String::from_utf8(out.stdout).expect("utf-8")
+}
+
+fn stdout(args: &[&str]) -> String {
+    success(args, cli(args))
 }
 
 #[test]
@@ -97,7 +114,7 @@ fn broadcast_reports_tree() {
 
 #[test]
 fn trace_replays_csv() {
-    let dir = std::env::temp_dir().join("abccc_cli_smoke");
+    let dir = std::env::temp_dir().join(format!("abccc_cli_smoke_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("tmp dir");
     let path = dir.join("trace.csv");
     std::fs::write(&path, "# demo\n0,5,100,0\n3,1,10,50\n").expect("write");
@@ -111,6 +128,7 @@ fn trace_replays_csv() {
     ]);
     assert!(out.contains("replayed 2 flows"));
     assert!(out.contains("fairness"));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -593,9 +611,11 @@ fn experiments_run_rejects_unknown_name_and_preset() {
 
 #[test]
 fn perf_record_then_diff_is_clean() {
-    let dir = std::env::temp_dir().join("abccc_cli_perf_smoke");
+    let dir = std::env::temp_dir().join(format!("abccc_cli_perf_smoke_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let dir_s = dir.to_str().expect("utf-8 tmpdir");
+    let _alone = CORES.write().unwrap_or_else(PoisonError::into_inner);
+    let stdout = |args: &[&str]| success(args, exec(args));
     let record = stdout(&[
         "perf",
         "record",
@@ -644,7 +664,7 @@ fn perf_diff_without_baselines_fails() {
 
 #[test]
 fn trace_out_produces_a_valid_chrome_trace() {
-    let dir = std::env::temp_dir().join("abccc_cli_trace_smoke");
+    let dir = std::env::temp_dir().join(format!("abccc_cli_trace_smoke_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("mkdir");
     let trace = dir.join("trace.json");
@@ -836,4 +856,132 @@ fn serve_rejects_json_flag() {
     let out = cli(&["--json", "serve", "2", "1", "2"]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--json is not supported"));
+}
+
+/// Asserts that `args` exits 1 with a one-line `error:` naming `flag`,
+/// followed by the usage of that command only.
+fn refuses(args: &[&str], flag: &str) {
+    let out = cli(args);
+    assert_eq!(out.status.code(), Some(1), "`{args:?}` must exit 1");
+    let err = String::from_utf8_lossy(&out.stderr);
+    let mut lines = err.lines();
+    let first = lines.next().unwrap_or_default();
+    assert!(
+        first.starts_with("error: ") && first.contains(flag),
+        "{err}"
+    );
+    assert_eq!(lines.next(), Some(""), "one-line error: {err}");
+    assert_eq!(lines.next(), Some("usage:"), "{err}");
+    assert!(
+        !err.contains("abccc-cli props"),
+        "usage of that command only: {err}"
+    );
+}
+
+#[test]
+fn unknown_flags_are_refused() {
+    refuses(
+        &["fib", "bench", "2", "2", "2", "--querys", "10"],
+        "--querys",
+    );
+    refuses(&["serve", "2", "1", "2", "--prot", "0"], "--prot");
+    refuses(
+        &["loadgen", "2", "2", "2", "--connection", "3"],
+        "--connection",
+    );
+}
+
+#[test]
+fn valueless_flag_is_refused() {
+    refuses(&["fib", "bench", "2", "2", "2", "--queries"], "--queries");
+}
+
+#[test]
+fn repeated_flag_is_refused() {
+    refuses(
+        &[
+            "fib",
+            "bench",
+            "2",
+            "2",
+            "2",
+            "--queries",
+            "5",
+            "--queries",
+            "7",
+        ],
+        "--queries",
+    );
+}
+
+#[test]
+fn fail_rate_above_one_is_refused() {
+    refuses(
+        &["fib", "bench", "2", "2", "2", "--fail-rate", "7"],
+        "--fail-rate",
+    );
+}
+
+#[test]
+fn negative_fail_rate_is_refused() {
+    refuses(
+        &["fib", "query", "2", "2", "2", "0", "5", "--fail-rate", "-1"],
+        "--fail-rate",
+    );
+}
+
+#[test]
+fn nan_fail_rate_is_refused() {
+    refuses(
+        &[
+            "fib",
+            "query",
+            "2",
+            "2",
+            "2",
+            "0",
+            "5",
+            "--fail-rate",
+            "NaN",
+        ],
+        "--fail-rate",
+    );
+}
+
+#[test]
+fn port_above_u16_is_refused() {
+    refuses(&["serve", "2", "2", "2", "--port", "70000"], "--port");
+}
+
+#[test]
+fn level_above_u32_is_refused() {
+    refuses(
+        &[
+            "resilience",
+            "2",
+            "2",
+            "2",
+            "--scenario",
+            "level",
+            "--level",
+            "4294967297",
+        ],
+        "--level",
+    );
+}
+
+#[test]
+fn fib_query_reads_endpoints_after_a_spec() {
+    assert_eq!(
+        stdout(&["fib", "query", "abccc:2,2,2", "0", "5"]),
+        stdout(&["fib", "query", "2", "2", "2", "0", "5"])
+    );
+}
+
+#[test]
+fn parallel_accepts_a_spec() {
+    assert_eq!(
+        stdout(&["parallel", "abccc:2,2,2", "0", "5"]),
+        stdout(&["parallel", "abccc", "2", "2", "2", "0", "5"])
+    );
 }
