@@ -3,8 +3,8 @@
 use crate::report::{CampaignReport, TierCounts, TrialReport};
 use crate::ScenarioKind;
 use abccc::{
-    routing, Abccc, CubeLabel, DigitRouter, PermStrategy, ResilientRouter, RetryBudget, RouteTier,
-    Router, ServerAddr, VlbRouter,
+    routing, Abccc, CubeLabel, DigitRouter, PermStrategy, ResilientRouter, RetryBudget,
+    RouteOutcome, Router, ServerAddr, VlbRouter,
 };
 use dcn_sim::{max_min_allocation, DirectedLink};
 use netgraph::{
@@ -207,7 +207,7 @@ impl CampaignConfig {
         if let Some(cube) = topo.as_any().downcast_ref::<Abccc>() {
             self.run_with(cube, &|| self.router.build())
         } else {
-            self.run_campaign(&Plane::Native { topo })
+            self.run_campaign(topo, &|| Plane::Native { topo })
         }
     }
 
@@ -228,18 +228,26 @@ impl CampaignConfig {
         topo: &Abccc,
         router: &(dyn Fn() -> Box<dyn Router> + Sync),
     ) -> Result<CampaignReport, RouteError> {
-        self.run_campaign(&Plane::Abccc { topo, router })
+        self.run_campaign(topo, &|| Plane::Abccc {
+            topo,
+            router: router(),
+        })
     }
 
-    fn run_campaign(&self, plane: &Plane<'_>) -> Result<CampaignReport, RouteError> {
+    /// Runs the trials, each worker on its own plane from `plane`.
+    fn run_campaign<'a>(
+        &self,
+        topo: &dyn Topology,
+        plane: &(dyn Fn() -> Plane<'a> + Sync),
+    ) -> Result<CampaignReport, RouteError> {
         self.validate()?;
-        self.scenario.validate_for(plane.topology())?;
-        if matches!(plane, Plane::Native { .. }) && self.pairs == PairSampling::Convergent {
+        self.scenario.validate_for(topo)?;
+        if self.pairs == PairSampling::Convergent && !topo.as_any().is::<Abccc>() {
             return Err(NetworkError::InvalidParameter {
                 name: "pairs",
                 reason: format!(
                     "convergent sampling needs ABCCC cube labels; {} has none",
-                    plane.topology().name()
+                    topo.name()
                 ),
             }
             .into());
@@ -249,42 +257,37 @@ impl CampaignConfig {
         let (results, _) = netgraph::par::map_indexed(
             self.trials,
             self.threads,
-            || match plane {
-                Plane::Abccc { router, .. } => Some(router()),
-                Plane::Native { .. } => None,
-            },
-            |router, trial| match plane {
-                Plane::Abccc { topo, .. } => {
-                    let router = router.as_deref().expect("abccc plane router");
-                    run_trial(self, topo, router, trial)
-                }
-                Plane::Native { topo } => run_trial_native(self, *topo, trial),
-            },
+            plane,
+            |plane, trial| run_trial(self, plane, trial),
             drop,
         );
         // The lowest failing trial's error, whatever the scheduling.
         let trials = results.into_iter().collect::<Result<Vec<_>, _>>()?;
         dcn_telemetry::counter!("resilience.trials").add(trials.len() as u64);
         Ok(CampaignReport::summarize(
-            plane.topology().name(),
+            topo.name(),
             self.scenario.label().to_string(),
-            plane.router_name(),
+            plane().router_name(),
             self.seed,
             trials,
         ))
     }
 }
 
-/// Which routing plane a campaign drives over its topology.
+/// Which routing plane a campaign drives over its topology. Every worker
+/// owns one, so an ABCCC router is never shared between threads.
 enum Plane<'a> {
     /// The ABCCC control plane: a [`RouterSpec`]/factory-built [`Router`]
-    /// with escalation tiers and retry accounting.
+    /// with escalation tiers and retry accounting. Hops are server hops,
+    /// measured against the closed-form [`routing::distance`].
     Abccc {
         topo: &'a Abccc,
-        router: &'a (dyn Fn() -> Box<dyn Router> + Sync),
+        router: Box<dyn Router>,
     },
     /// Any other family: its native fault-avoiding routing,
-    /// [`Topology::route_avoiding`].
+    /// [`Topology::route_avoiding`], one primary attempt per pair. Hops are
+    /// link hops, measured against the family's fault-free
+    /// [`Topology::route`] (the closed-form distance has no analogue here).
     Native { topo: &'a (dyn Topology + Sync) },
 }
 
@@ -298,8 +301,52 @@ impl Plane<'_> {
 
     fn router_name(&self) -> String {
         match self {
-            Plane::Abccc { router, .. } => router().name(),
+            Plane::Abccc { router, .. } => router.name(),
             Plane::Native { .. } => "native".to_string(),
+        }
+    }
+
+    /// Routes `src → dst` under the step's mask.
+    fn route(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+        mask: &FaultMask,
+    ) -> Result<RouteOutcome, RouteError> {
+        match self {
+            Plane::Abccc { topo, router } => router.route(topo, src, dst, Some(mask)),
+            Plane::Native { topo } => topo
+                .route_avoiding(src, dst, mask)
+                .map(RouteOutcome::primary),
+        }
+    }
+
+    /// A routed pair's hops and its fault-free length, both in the plane's
+    /// unit, plus the fault-free baseline route when `baseline` is set.
+    fn measure(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+        route: &Route,
+        baseline: bool,
+    ) -> Result<(u64, u64, Option<Route>), RouteError> {
+        match self {
+            Plane::Abccc { topo, router } => {
+                let p = topo.params();
+                let fault_free = routing::distance(p, topo.server_addr(src), topo.server_addr(dst));
+                let base = if baseline {
+                    Some(router.route_simple(topo, src, dst)?)
+                } else {
+                    None
+                };
+                Ok((routing::hops(route) as u64, fault_free, base))
+            }
+            Plane::Native { topo } => {
+                let fault_free = topo.route(src, dst)?;
+                let free_hops = fault_free.link_hops() as u64;
+                let base = baseline.then_some(fault_free);
+                Ok((route.link_hops() as u64, free_hops, base))
+            }
         }
     }
 }
@@ -393,15 +440,16 @@ fn allocate(net: &Network, routes: &[Route]) -> (f64, f64) {
     (aggregate, min)
 }
 
+/// One trial: every step's mask, pairs, routes and max-min allocations,
+/// on whichever plane the worker drives.
 fn run_trial(
     config: &CampaignConfig,
-    topo: &Abccc,
-    router: &dyn Router,
+    plane: &Plane<'_>,
     trial: usize,
 ) -> Result<TrialReport, RouteError> {
     let _span = dcn_telemetry::span!("resilience.trial");
     let _trial_timer = dcn_telemetry::histogram!("resilience.trial_ns").start_timer();
-    let p = topo.params();
+    let topo = plane.topology();
     let net = topo.network();
     let trial_seed = mix_seed_additive(config.seed, trial as u64);
     let steps = config.scenario.steps();
@@ -439,30 +487,35 @@ fn run_trial(
         let mut survivors: Vec<Route> = Vec::with_capacity(pairs.len());
         let mut baseline: Vec<Route> = Vec::with_capacity(pairs.len());
         for &(s, d) in &pairs {
-            match router.route(topo, s, d, Some(&mask)) {
-                Ok(out) => {
-                    routed += 1;
-                    tiers.record(out.tier);
-                    attempts_total += u64::from(out.attempts);
-                    backoff_total += out.backoff_units;
-                    let hops = routing::hops(&out.route) as u64;
-                    hops_sum += hops;
-                    let fault_free = routing::distance(p, topo.server_addr(s), topo.server_addr(d));
-                    let stretch = if fault_free == 0 {
-                        1.0
-                    } else {
-                        hops as f64 / fault_free as f64
-                    };
-                    stretch_sum += stretch;
-                    max_stretch = max_stretch.max(stretch);
-                    if config.measure_throughput {
-                        survivors.push(out.route);
-                        baseline.push(router.route_simple(topo, s, d)?);
-                    }
+            let out = match plane.route(s, d, &mask) {
+                Ok(out) => out,
+                Err(RouteError::Unreachable { .. }) => {
+                    unreachable += 1;
+                    continue;
                 }
-                Err(RouteError::Unreachable { .. }) => unreachable += 1,
-                Err(RouteError::GaveUp { .. }) => gave_up += 1,
+                Err(RouteError::GaveUp { .. }) => {
+                    gave_up += 1;
+                    continue;
+                }
                 Err(e) => return Err(e),
+            };
+            routed += 1;
+            tiers.record(out.tier);
+            attempts_total += u64::from(out.attempts);
+            backoff_total += out.backoff_units;
+            let (hops, fault_free, base) =
+                plane.measure(s, d, &out.route, config.measure_throughput)?;
+            hops_sum += hops;
+            let stretch = if fault_free == 0 {
+                1.0
+            } else {
+                hops as f64 / fault_free as f64
+            };
+            stretch_sum += stretch;
+            max_stretch = max_stretch.max(stretch);
+            if let Some(base) = base {
+                survivors.push(out.route);
+                baseline.push(base);
             }
         }
         if config.measure_throughput {
@@ -515,133 +568,6 @@ fn run_trial(
         tier_counts: tiers,
         attempts_total,
         backoff_units_total: backoff_total,
-    })
-}
-
-/// One trial on the native plane: the family's own fault-avoiding routing,
-/// one attempt per pair. Hops and stretch are measured in link hops against
-/// the family's fault-free route (the closed-form distance the ABCCC plane
-/// uses has no analogue here); every completed route counts as tier
-/// `Primary` with one attempt and no backoff.
-fn run_trial_native(
-    config: &CampaignConfig,
-    topo: &dyn Topology,
-    trial: usize,
-) -> Result<TrialReport, RouteError> {
-    let _span = dcn_telemetry::span!("resilience.trial");
-    let _trial_timer = dcn_telemetry::histogram!("resilience.trial_ns").start_timer();
-    let net = topo.network();
-    let trial_seed = mix_seed_additive(config.seed, trial as u64);
-    let steps = config.scenario.steps();
-
-    let mut failed_nodes = 0.0;
-    let mut failed_links = 0.0;
-    let mut connectivity = 0.0;
-    let mut pairs_total = 0usize;
-    let mut skipped = 0usize;
-    let mut routed = 0usize;
-    let mut unreachable = 0usize;
-    let mut gave_up = 0usize;
-    let mut tiers = TierCounts::default();
-    let mut attempts_total = 0u64;
-    let mut stretch_sum = 0.0f64;
-    let mut max_stretch = 0.0f64;
-    let mut hops_sum = 0u64;
-    let mut aggregate = 0.0f64;
-    let mut min_rate = 0.0f64;
-    let mut retention = 0.0f64;
-
-    for step in 0..steps {
-        let mask = config.scenario.mask_for(topo, trial_seed, step);
-        failed_nodes += mask.failed_node_count() as f64 / steps as f64;
-        failed_links += mask.failed_link_count() as f64 / steps as f64;
-        connectivity += netgraph::connectivity::largest_component_server_fraction(net, Some(&mask))
-            / steps as f64;
-
-        let pair_seed = mix_seed_additive(trial_seed, 0x5EED_0000 + step as u64);
-        let (pairs, step_skipped) = sample_pairs(topo, &mask, config.pairs, pair_seed);
-        pairs_total += pairs.len() + step_skipped;
-        skipped += step_skipped;
-
-        let mut survivors: Vec<Route> = Vec::with_capacity(pairs.len());
-        let mut baseline: Vec<Route> = Vec::with_capacity(pairs.len());
-        for &(s, d) in &pairs {
-            match topo.route_avoiding(s, d, &mask) {
-                Ok(route) => {
-                    routed += 1;
-                    tiers.record(RouteTier::Primary);
-                    attempts_total += 1;
-                    let hops = route.link_hops() as u64;
-                    hops_sum += hops;
-                    let fault_free = topo.route(s, d)?;
-                    let free_hops = fault_free.link_hops();
-                    let stretch = if free_hops == 0 {
-                        1.0
-                    } else {
-                        hops as f64 / free_hops as f64
-                    };
-                    stretch_sum += stretch;
-                    max_stretch = max_stretch.max(stretch);
-                    if config.measure_throughput {
-                        survivors.push(route);
-                        baseline.push(fault_free);
-                    }
-                }
-                Err(RouteError::Unreachable { .. }) => unreachable += 1,
-                Err(RouteError::GaveUp { .. }) => gave_up += 1,
-                Err(e) => return Err(e),
-            }
-        }
-        if config.measure_throughput {
-            let (agg, min) = allocate(net, &survivors);
-            let (base_agg, _) = allocate(net, &baseline);
-            aggregate += agg / steps as f64;
-            min_rate += min / steps as f64;
-            retention += if base_agg == 0.0 { 1.0 } else { agg / base_agg } / steps as f64;
-        } else {
-            retention += 1.0 / steps as f64;
-        }
-    }
-
-    dcn_telemetry::counter!("resilience.pairs_routed").add(routed as u64);
-    dcn_telemetry::counter!("resilience.pairs_unroutable").add((unreachable + gave_up) as u64);
-    dcn_telemetry::histogram!("resilience.trial_attempts").record(attempts_total);
-
-    let decided = routed + unreachable + gave_up;
-    Ok(TrialReport {
-        trial,
-        seed: trial_seed,
-        steps,
-        failed_nodes,
-        failed_links,
-        connectivity_fraction: connectivity,
-        pairs_total,
-        pairs_skipped_endpoint: skipped,
-        routed,
-        unreachable,
-        gave_up,
-        route_completion: if decided == 0 {
-            1.0
-        } else {
-            routed as f64 / decided as f64
-        },
-        mean_stretch: if routed == 0 {
-            0.0
-        } else {
-            stretch_sum / routed as f64
-        },
-        max_stretch,
-        mean_hops: if routed == 0 {
-            0.0
-        } else {
-            hops_sum as f64 / routed as f64
-        },
-        aggregate_rate: aggregate,
-        min_rate,
-        throughput_retention: retention,
-        tier_counts: tiers,
-        attempts_total,
-        backoff_units_total: 0,
     })
 }
 

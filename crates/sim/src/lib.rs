@@ -1,6 +1,7 @@
 //! `dcn-sim` — the unified seeded discrete-event traffic engine.
 //!
-//! One event core, two fidelity backends, three routing planes:
+//! One event core and two fidelity backends, routing on the topology's own
+//! algorithms:
 //!
 //! * **Core** — a binary-heap [`EventQueue`] keyed `(time, seq)` so event
 //!   order is time-then-insertion, and [`SplitMix64`] per-entity RNG
@@ -11,15 +12,14 @@
 //!   fairness ([`max_min_allocation`]), recomputed event by event.
 //! * **Packet backend** — store-and-forward with FIFO output queues, tail
 //!   drop, and open-loop or AIMD injection.
-//! * **Planes** — the topology's native routing, any [`abccc::Router`],
-//!   or a compiled [`dcn_fib::RouteService`] FIB.
+//! * **Routing** — the topology's native `route`, and its
+//!   `route_avoiding` once faults have fired.
 //!
 //! A [`Scenario`] describes traffic (flows in bulk-synchronous phases), a
 //! fault timeline ([`FaultInjection`] — faults fire *mid-flow*), and a
 //! [`Fidelity`]; [`TrafficEngine::run`] turns it into a
 //! [`ScenarioReport`] with HDR FCT quantiles and byte-conservation
-//! accounting, and [`TrafficEngine::run_batch`] sweeps batches on
-//! [`netgraph::par::map_indexed`] with thread-count-independent results.
+//! accounting.
 //!
 //! The historical `flowsim` ([`FlowSim`]) and `packetsim` ([`PacketSim`])
 //! APIs live on as thin veneers over the same internals, and keep their
@@ -38,7 +38,7 @@ mod rng;
 mod scenario;
 mod stats;
 
-pub use engine::{EngineError, RoutePlane, TrafficEngine};
+pub use engine::{EngineError, TrafficEngine};
 pub use fluid::{FlowSim, FlowSimReport};
 pub use maxmin::{max_min_allocation, DirectedLink};
 pub use packet::{AimdConfig, FlowSpec, PacketSim, PacketSimConfig};

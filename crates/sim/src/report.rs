@@ -79,7 +79,8 @@ pub struct ScenarioReport {
     pub topology: String,
     /// Fidelity label (`fluid`, `packet`, `packet+aimd`).
     pub fidelity: String,
-    /// Routing plane label (`native`, router name, or `fib`).
+    /// Routing plane label: always `native`, since scenarios route on the
+    /// topology's own algorithms.
     pub plane: String,
     /// Flows offered.
     pub flows: usize,

@@ -1,6 +1,6 @@
-//! Property tests for the unified traffic engine: thread-count
-//! determinism of the batch runner, fluid-vs-packet FCT bracketing on
-//! lone flows, and byte conservation across the whole scenario catalog.
+//! Property tests for the unified traffic engine: fluid-vs-packet FCT
+//! bracketing on lone flows, and byte conservation across the whole
+//! scenario catalog.
 
 use abccc::{Abccc, AbcccParams};
 use dcn_sim::{Fidelity, PacketSimConfig, Scenario, ScenarioFlow, TrafficEngine};
@@ -14,40 +14,6 @@ fn small_topo() -> Abccc {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// The batch runner's reports are byte-identical regardless of the
-    /// worker-thread count: same scenarios, any interleaving, one answer.
-    #[test]
-    fn run_batch_reports_are_thread_invariant(
-        seeds in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
-        threads in 2usize..6,
-    ) {
-        let topo = small_topo();
-        let n = topo.network().server_count();
-        let engine = TrafficEngine::new(&topo);
-        let seeds = [seeds.0, seeds.1, seeds.2, seeds.3, seeds.4];
-        let batch: Vec<Scenario> = seeds
-            .iter()
-            .enumerate()
-            .map(|(i, &seed)| {
-                let name = scenarios::NAMES[i % scenarios::NAMES.len()];
-                scenarios::by_name(name, n, seed).expect("catalog name")
-            })
-            .collect();
-        let serial: Vec<String> = engine
-            .run_batch(&batch, 1)
-            .expect("serial batch")
-            .iter()
-            .map(|r| serde_json::to_string(r).expect("json"))
-            .collect();
-        let parallel: Vec<String> = engine
-            .run_batch(&batch, threads)
-            .expect("parallel batch")
-            .iter()
-            .map(|r| serde_json::to_string(r).expect("json"))
-            .collect();
-        prop_assert_eq!(serial, parallel);
-    }
 
     /// On a lone flow the two fidelities bracket each other exactly:
     /// fluid FCT is the ideal `bytes * 8` ns at 1 Gbps, and the packet
