@@ -8,7 +8,7 @@
 //! switch cost, and the non-expandability: growing beyond `p³/4` servers
 //! requires replacing every switch with a larger radix.
 
-use netgraph::{Network, NetworkError, NodeId, Route, RouteError, Topology};
+use netgraph::{FaultMask, Network, NetworkError, NodeId, Route, RouteError, Topology};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -218,6 +218,30 @@ impl Topology for FatTree {
         nodes.push(dst);
         Ok(Route::new(nodes))
     }
+
+    /// The ECMP [`Topology::route`] while every node and cable on it
+    /// survives the mask, else the fewest-cables detour on the surviving
+    /// graph ([`netgraph::bfs::link_shortest_path`]). The default
+    /// server-hop search would be free to meander through switches, since
+    /// every fat-tree path is one server hop.
+    fn route_avoiding(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+        mask: &FaultMask,
+    ) -> Result<Route, RouteError> {
+        let route = self.route(src, dst)?;
+        let survives = route.nodes().iter().all(|&n| mask.node_alive(n))
+            && route
+                .links(&self.net)
+                .is_some_and(|links| links.iter().all(|&l| mask.link_alive(l)));
+        if survives {
+            return Ok(route);
+        }
+        netgraph::bfs::link_shortest_path(&self.net, src, dst, Some(mask))
+            .map(Route::new)
+            .ok_or(RouteError::Unreachable { src, dst })
+    }
 }
 
 #[cfg(test)]
@@ -264,6 +288,27 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn route_avoiding_keeps_the_ecmp_route_until_it_breaks() {
+        let t = FatTree::new(FatTreeParams::new(4).unwrap()).unwrap();
+        let (src, dst) = (NodeId(0), NodeId(15));
+        let ecmp = t.route(src, dst).unwrap();
+        let mut mask = FaultMask::new(t.network());
+        assert_eq!(t.route_avoiding(src, dst, &mask).unwrap(), ecmp);
+        // Fail the core switch the ECMP route crosses: the detour is
+        // another six-cable path, never a meander through more switches.
+        mask.fail_node(ecmp.nodes()[3]);
+        let detour = t.route_avoiding(src, dst, &mask).unwrap();
+        detour.validate(t.network(), Some(&mask)).unwrap();
+        assert_ne!(detour, ecmp);
+        assert_eq!(detour.link_hops(), ecmp.link_hops());
+        mask.fail_node(dst);
+        assert!(matches!(
+            t.route_avoiding(src, dst, &mask),
+            Err(RouteError::Unreachable { .. })
+        ));
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! oracle.
 
 use abccc::{Abccc, AbcccParams, PermStrategy, RetryBudget, RouteTier};
+use dcn_baselines::{FatTree, FatTreeParams};
 use dcn_resilience::{CampaignConfig, PairSampling, RouterSpec, ScenarioKind};
+use netgraph::Topology;
 use proptest::prelude::*;
 
 fn cube() -> Abccc {
@@ -66,38 +68,43 @@ proptest! {
 /// Oracle: at a 0% fault rate every trial must match the fault-free
 /// baseline exactly — full connectivity, full completion, stretch 1, full
 /// throughput retention, every pair answered by the primary tier with one
-/// attempt and no backoff.
+/// attempt and no backoff — on the ABCCC plane and on a native plane.
 #[test]
 fn zero_fault_rate_matches_fault_free_baseline_exactly() {
-    let report = CampaignConfig::new()
-        .scenario(ScenarioKind::Uniform {
-            server_rate: 0.0,
-            switch_rate: 0.0,
-            link_rate: 0.0,
-        })
-        .trials(4)
-        .pairs_per_trial(32)
-        .seed(99)
-        .run_on(&cube())
-        .expect("campaign");
-    for t in &report.trials {
-        assert_eq!(t.failed_nodes, 0.0);
-        assert_eq!(t.failed_links, 0.0);
-        assert_eq!(t.connectivity_fraction, 1.0);
-        assert_eq!(t.pairs_skipped_endpoint, 0);
-        assert_eq!(t.unreachable, 0);
-        assert_eq!(t.gave_up, 0);
-        assert_eq!(t.route_completion, 1.0);
-        assert_eq!(t.mean_stretch, 1.0, "trial {}", t.trial);
-        assert_eq!(t.max_stretch, 1.0);
-        assert_eq!(t.throughput_retention, 1.0);
-        assert_eq!(t.tier_counts.total(), t.tier_counts.primary);
-        assert_eq!(t.attempts_total, t.routed as u64);
-        assert_eq!(t.backoff_units_total, 0);
+    let fat_tree = FatTree::new(FatTreeParams::new(4).expect("params")).expect("topology");
+    let topologies: [&(dyn Topology + Sync); 2] = [&cube(), &fat_tree];
+    for topo in topologies {
+        let name = topo.name();
+        let report = CampaignConfig::new()
+            .scenario(ScenarioKind::Uniform {
+                server_rate: 0.0,
+                switch_rate: 0.0,
+                link_rate: 0.0,
+            })
+            .trials(4)
+            .pairs_per_trial(32)
+            .seed(99)
+            .run_on(topo)
+            .expect("campaign");
+        for t in &report.trials {
+            assert_eq!(t.failed_nodes, 0.0);
+            assert_eq!(t.failed_links, 0.0);
+            assert_eq!(t.connectivity_fraction, 1.0);
+            assert_eq!(t.pairs_skipped_endpoint, 0);
+            assert_eq!(t.unreachable, 0);
+            assert_eq!(t.gave_up, 0);
+            assert_eq!(t.route_completion, 1.0);
+            assert_eq!(t.mean_stretch, 1.0, "{name} trial {}", t.trial);
+            assert_eq!(t.max_stretch, 1.0, "{name}");
+            assert_eq!(t.throughput_retention, 1.0, "{name}");
+            assert_eq!(t.tier_counts.total(), t.tier_counts.primary);
+            assert_eq!(t.attempts_total, t.routed as u64);
+            assert_eq!(t.backoff_units_total, 0);
+        }
+        assert_eq!(report.summary.route_completion, 1.0);
+        assert_eq!(report.summary.mean_stretch, 1.0, "{name}");
+        assert_eq!(report.summary.throughput_retention, 1.0, "{name}");
     }
-    assert_eq!(report.summary.route_completion, 1.0);
-    assert_eq!(report.summary.mean_stretch, 1.0);
-    assert_eq!(report.summary.throughput_retention, 1.0);
 }
 
 /// The adversarial convergent pattern survives the campaign plumbing: VLB
