@@ -132,36 +132,26 @@ impl fmt::Display for JellyfishParams {
 impl FromStr for JellyfishParams {
     type Err = NetworkError;
 
-    /// Parses `v=64,r=4,s=1,seed=7` (any key order; `s` and `seed`
+    /// Parses `v=64,r=4,s=1,seed=7` (any key order, each key at most once; `s` and `seed`
     /// optional) or the [`fmt::Display`] form `Jellyfish(v=64,...)`.
     fn from_str(text: &str) -> Result<Self, NetworkError> {
-        let body = crate::family::strip_display_wrapper(text, "jellyfish");
-        let (mut v, mut r) = (None, None);
-        let (mut s, mut seed) = (Self::DEFAULT_S, Self::DEFAULT_SEED);
-        for field in body.split(',') {
-            let (key, value) = crate::family::key_value(field)?;
-            match key {
-                "v" => v = Some(crate::family::parse_u32("v", value)?),
-                "r" => r = Some(crate::family::parse_u32("r", value)?),
-                "s" => s = crate::family::parse_u32("s", value)?,
-                "seed" => seed = crate::family::parse_u64("seed", value)?,
-                other => {
-                    return Err(NetworkError::InvalidParameter {
-                        name: "spec",
-                        reason: format!("unknown jellyfish key `{other}` (want v,r,s,seed)"),
-                    })
-                }
-            }
-        }
-        let v = v.ok_or(NetworkError::InvalidParameter {
+        use crate::family::{parse_keyed, parse_u32, parse_u64, strip_display_wrapper};
+        let body = strip_display_wrapper(text, "jellyfish");
+        let [v, r, s, seed] = parse_keyed(body, "jellyfish", ["v", "r", "s", "seed"])?;
+        let v = v.ok_or_else(|| NetworkError::InvalidParameter {
             name: "v",
             reason: "jellyfish spec requires v=<switches>".into(),
         })?;
-        let r = r.ok_or(NetworkError::InvalidParameter {
+        let r = r.ok_or_else(|| NetworkError::InvalidParameter {
             name: "r",
             reason: "jellyfish spec requires r=<degree>".into(),
         })?;
-        JellyfishParams::new(v, r, s, seed)
+        JellyfishParams::new(
+            parse_u32("v", v)?,
+            parse_u32("r", r)?,
+            s.map_or(Ok(Self::DEFAULT_S), |s| parse_u32("s", s))?,
+            seed.map_or(Ok(Self::DEFAULT_SEED), |seed| parse_u64("seed", seed))?,
+        )
     }
 }
 

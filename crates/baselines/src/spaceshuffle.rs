@@ -126,32 +126,22 @@ impl fmt::Display for SpaceShuffleParams {
 impl FromStr for SpaceShuffleParams {
     type Err = NetworkError;
 
-    /// Parses `v=64,d=2,s=1,seed=7` (any key order; `d`, `s`, `seed`
+    /// Parses `v=64,d=2,s=1,seed=7` (any key order, each key at most once; `d`, `s`, `seed`
     /// optional) or the [`fmt::Display`] form `SpaceShuffle(v=64,...)`.
     fn from_str(text: &str) -> Result<Self, NetworkError> {
-        let body = crate::family::strip_display_wrapper(text, "spaceshuffle");
-        let mut v = None;
-        let (mut d, mut s, mut seed) = (Self::DEFAULT_D, Self::DEFAULT_S, Self::DEFAULT_SEED);
-        for field in body.split(',') {
-            let (key, value) = crate::family::key_value(field)?;
-            match key {
-                "v" => v = Some(crate::family::parse_u32("v", value)?),
-                "d" => d = crate::family::parse_u32("d", value)?,
-                "s" => s = crate::family::parse_u32("s", value)?,
-                "seed" => seed = crate::family::parse_u64("seed", value)?,
-                other => {
-                    return Err(NetworkError::InvalidParameter {
-                        name: "spec",
-                        reason: format!("unknown spaceshuffle key `{other}` (want v,d,s,seed)"),
-                    })
-                }
-            }
-        }
-        let v = v.ok_or(NetworkError::InvalidParameter {
+        use crate::family::{parse_keyed, parse_u32, parse_u64, strip_display_wrapper};
+        let body = strip_display_wrapper(text, "spaceshuffle");
+        let [v, d, s, seed] = parse_keyed(body, "spaceshuffle", ["v", "d", "s", "seed"])?;
+        let v = v.ok_or_else(|| NetworkError::InvalidParameter {
             name: "v",
             reason: "spaceshuffle spec requires v=<switches>".into(),
         })?;
-        SpaceShuffleParams::new(v, d, s, seed)
+        SpaceShuffleParams::new(
+            parse_u32("v", v)?,
+            d.map_or(Ok(Self::DEFAULT_D), |d| parse_u32("d", d))?,
+            s.map_or(Ok(Self::DEFAULT_S), |s| parse_u32("s", s))?,
+            seed.map_or(Ok(Self::DEFAULT_SEED), |seed| parse_u64("seed", seed))?,
+        )
     }
 }
 

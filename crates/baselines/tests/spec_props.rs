@@ -3,6 +3,7 @@
 //! panic, and a canonical spec parses back to itself.
 
 use dcn_baselines::family;
+use netgraph::NetworkError;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -99,6 +100,33 @@ proptest! {
             let again = family::parse_spec(&format!("{}:{canonical}", fam.name()));
             let again = again.ok().map(|(f, c)| (f.name(), c));
             prop_assert_eq!(again, Some((fam.name(), canonical.clone())), "spec {:?}", spec);
+        }
+    }
+
+    /// Repeating any key of a valid keyed spec is refused with a typed
+    /// error, whatever the second value and wherever it lands, instead of
+    /// the last value silently winning.
+    #[test]
+    fn repeated_keys_are_refused(
+        which in 0usize..2,
+        key in 0usize..4,
+        at in 0usize..5,
+        value in 1u32..64,
+    ) {
+        let (name, fields) = [
+            ("jellyfish", ["v=8", "r=3", "s=1", "seed=7"]),
+            ("spaceshuffle", ["v=8", "d=2", "s=1", "seed=7"]),
+        ][which];
+        prop_assert!(family::parse_spec(&format!("{name}:{}", fields.join(","))).is_ok());
+        let mut fields: Vec<String> = fields.iter().map(|f| f.to_string()).collect();
+        let repeated = fields[key].split('=').next().expect("key").to_string();
+        fields.insert(at, format!("{repeated}={value}"));
+        let spec = format!("{name}:{}", fields.join(","));
+        match family::parse_spec(&spec) {
+            Err(NetworkError::InvalidParameter { reason, .. }) => {
+                prop_assert!(reason.contains("more than once"), "{}: {}", spec, reason);
+            }
+            other => prop_assert!(false, "{} parsed as {:?}", spec, other.map(|(_, c)| c)),
         }
     }
 }

@@ -48,14 +48,23 @@ fn finish_telemetry(inv: &Invocation) {
             _ => std::fs::write(path, dcn_telemetry::folded_stacks(&spans)),
         };
         if let Err(e) = written {
-            eprintln!("warning: writing {path}: {e}");
+            eprintln!("warning: writing {}: {e}", path.escape_debug());
         }
     }
 }
 
-/// Prints `error: …` and the usage that explains it.
+/// Prints `error: …` and the usage that explains it. The error may echo
+/// argv, so its control characters are escaped as `escape_debug` would.
 fn fail(error: &str, usage: &str) -> ExitCode {
-    eprintln!("error: {error}\n\nusage:\n{}", usage.trim_end());
+    let mut escaped = String::with_capacity(error.len());
+    for c in error.chars() {
+        if c.is_control() {
+            escaped.extend(c.escape_debug());
+        } else {
+            escaped.push(c);
+        }
+    }
+    eprintln!("error: {escaped}\n\nusage:\n{}", usage.trim_end());
     ExitCode::FAILURE
 }
 

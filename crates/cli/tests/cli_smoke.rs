@@ -985,3 +985,30 @@ fn parallel_accepts_a_spec() {
         stdout(&["parallel", "abccc", "2", "2", "2", "0", "5"])
     );
 }
+
+#[test]
+fn repeated_spec_keys_are_refused() {
+    let out = cli(&["topo", "stats", "jellyfish:v=8,v=16,r=3,seed=7"]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("`v` is given more than once"), "{err}");
+}
+
+#[test]
+fn errors_escape_control_bytes_from_argv() {
+    for args in [
+        &["experiments", "run", "fig1\u{1b}[31mred"][..],
+        &["topo", "stats", "jellyfish:v=8,r=3,z\u{1b}=1"],
+        &["props", "abccc", "2", "2", "\u{7}2"],
+    ] {
+        let out = cli(args);
+        assert_eq!(out.status.code(), Some(1), "`{args:?}` must exit 1");
+        let control = out
+            .stderr
+            .iter()
+            .find(|&&b| b.is_ascii_control() && b != b'\n');
+        assert_eq!(control, None, "`{args:?}` echoed a control byte");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("\\u{"), "the byte is shown escaped: {err}");
+    }
+}

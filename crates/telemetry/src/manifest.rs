@@ -12,6 +12,7 @@ use crate::sink::PhaseAgg;
 use crate::{HistogramSnapshot, SpanEvent};
 use serde::Value;
 use std::path::Path;
+use std::sync::OnceLock;
 
 /// Provenance + timing record for one experiment run.
 #[derive(Debug, Clone, PartialEq)]
@@ -270,16 +271,22 @@ impl RunManifest {
 }
 
 /// `git describe --always --dirty` for the current directory, or
-/// `"unknown"` when git or the repository is unavailable.
+/// `"unknown"` when git or the repository is unavailable. Git runs once per
+/// process; later calls return the first answer.
 pub fn git_describe() -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+    static DESCRIBE: OnceLock<String> = OnceLock::new();
+    DESCRIBE
+        .get_or_init(|| {
+            std::process::Command::new("git")
+                .args(["describe", "--always", "--dirty"])
+                .output()
+                .ok()
+                .filter(|o| o.status.success())
+                .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+                .filter(|s| !s.is_empty())
+                .unwrap_or_else(|| "unknown".to_string())
+        })
+        .clone()
 }
 
 #[cfg(test)]
