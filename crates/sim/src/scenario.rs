@@ -2,9 +2,8 @@
 //! which faults fire while it runs.
 //!
 //! A [`Scenario`] is a pure value — flows, phases, a fault timeline, and a
-//! fidelity choice — so the same description can run on any topology and
-//! any routing plane, and two runs of the same scenario are byte-identical
-//! by construction.
+//! fidelity choice — so the same description can run on any topology, and
+//! two runs of the same scenario are byte-identical by construction.
 
 use crate::packet::PacketSimConfig;
 use crate::AimdConfig;
@@ -78,7 +77,7 @@ impl ScenarioFlow {
 /// A fault firing mid-run: at `at_ns` (absolute scenario time) the seeded
 /// [`FaultScenario`] is built against the network and unioned into the
 /// cumulative fault mask. In-flight traffic crossing newly dead gear is
-/// dropped; surviving flows reroute on the engine's routing plane.
+/// dropped; surviving flows reroute with the topology's `route_avoiding`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultInjection {
     /// Absolute scenario time the fault fires (ns).
