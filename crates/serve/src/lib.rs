@@ -9,13 +9,12 @@
 //!   the service's incremental invalidation, and an info op. Decoding is
 //!   strict and total (typed [`WireError`](wire::WireError)s, never a
 //!   panic) — pinned by property tests.
-//! * [`RouteServer`] — a TCP front end: per-connection framing threads,
-//!   opportunistic coalescing of pipelined frames into **one**
-//!   [`query_batch`](dcn_fib::RouteService::query_batch) execution (the
-//!   sharded thread-per-core path), per-connection in-flight budgets
-//!   with typed `REJECT` replies, and graceful drain on shutdown. A
-//!   batch executes under one mask epoch even while a mask push is
-//!   waiting.
+//! * [`RouteServer`] — a TCP front end: one thread per connection, which
+//!   coalesces pipelined frames into one group and answers it itself, so
+//!   concurrent connections supply the parallelism; per-connection
+//!   in-flight budgets with typed `REJECT` replies, and graceful drain on
+//!   shutdown. A group answers from one mask epoch even while a mask
+//!   push is waiting.
 //! * [`ServeClient`] — a small blocking client with pipelining
 //!   primitives.
 //! * [`loadgen`] — the built-in loopback load generator: fixed seed ⇒
