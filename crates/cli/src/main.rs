@@ -916,7 +916,6 @@ fn serve_cmd(inv: &Invocation) -> Result<(), String> {
         port: inv.num("--port")?,
         max_inflight: inv.num("--max-inflight")?,
         max_batch: inv.num("--max-batch")?,
-        ..ServeConfig::default()
     };
     let svc = compile_service(inv, p)?;
     let servers = svc.table().servers();

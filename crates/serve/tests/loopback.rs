@@ -7,7 +7,7 @@ use dcn_fib::RouteService;
 use dcn_serve::loadgen::{run_loopback, LoadgenConfig};
 use dcn_serve::wire::{RejectReason, Reply, Request};
 use dcn_serve::{RouteServer, ServeClient, ServeConfig};
-use netgraph::{FaultMask, NodeId, Topology};
+use netgraph::{FaultMask, FaultScenario, NodeId, Topology};
 use std::time::Duration;
 
 fn topo(n: u32, k: u32, h: u32) -> Abccc {
@@ -32,27 +32,43 @@ fn harness_cfg(seed: u64) -> LoadgenConfig {
 
 /// The determinism contract: a fixed-seed loadgen run produces a
 /// byte-identical reply digest on every run and at every shard count —
-/// server thread interleavings, frame coalescing, and the sharded batch
-/// path are all invisible in the reply bytes.
+/// server thread interleavings and frame coalescing are invisible in the
+/// reply bytes. The faulted runs race three connections on the patch
+/// caches, and the shard count only decides which cache a pair lands in.
 #[test]
 fn digest_is_identical_across_runs_and_shards() {
-    let mut digests = Vec::new();
-    for shards in [1usize, 1, 4, 8] {
-        let (report, drain) =
-            run_loopback(service(shards), ServeConfig::default(), &harness_cfg(42))
-                .expect("loopback run");
-        assert_eq!(report.rejects, 0, "harness must never saturate");
-        assert_eq!(
-            report.ok + report.route_errors,
-            report.requests,
-            "every item answered"
-        );
-        assert_eq!(drain.connections, report.connections);
-        digests.push(report.digest);
+    let faults = FaultScenario::seeded(5)
+        .fail_servers_frac(0.1)
+        .fail_switches_frac(0.05);
+    let digests = |faulted: bool| -> Vec<String> {
+        [1usize, 1, 4, 8]
+            .into_iter()
+            .map(|shards| {
+                let mut svc = service(shards);
+                if faulted {
+                    svc.apply_scenario(&faults);
+                }
+                let (report, drain) = run_loopback(svc, ServeConfig::default(), &harness_cfg(42))
+                    .expect("loopback run");
+                assert_eq!(report.rejects, 0, "harness must never saturate");
+                assert_eq!(
+                    report.ok + report.route_errors,
+                    report.requests,
+                    "every item answered"
+                );
+                assert_eq!(drain.connections, report.connections);
+                report.digest
+            })
+            .collect()
+    };
+    let healthy = digests(false);
+    let faulted = digests(true);
+    for (plane, d) in [("healthy", &healthy), ("faulted", &faulted)] {
+        assert_eq!(d[0], d[1], "{plane}: same seed, same shards");
+        assert_eq!(d[0], d[2], "{plane}: 1 shard vs 4 shards");
+        assert_eq!(d[0], d[3], "{plane}: 1 shard vs 8 shards");
     }
-    assert_eq!(digests[0], digests[1], "same seed, same shards");
-    assert_eq!(digests[0], digests[2], "1 shard vs 4 shards");
-    assert_eq!(digests[0], digests[3], "1 shard vs 8 shards");
+    assert_ne!(healthy[0], faulted[0], "the faults must change answers");
 }
 
 /// Different seeds exercise different pair streams — the digest must
