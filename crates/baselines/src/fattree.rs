@@ -221,9 +221,9 @@ impl Topology for FatTree {
 
     /// The ECMP [`Topology::route`] while every node and cable on it
     /// survives the mask, else the fewest-cables detour on the surviving
-    /// graph ([`netgraph::bfs::link_shortest_path`]). The default
-    /// server-hop search would be free to meander through switches, since
-    /// every fat-tree path is one server hop.
+    /// graph ([`netgraph::bfs::link_shortest_path`]). The default's
+    /// server-hop fallback would be free to meander through switches,
+    /// since every fat-tree path is one server hop.
     fn route_avoiding(
         &self,
         src: NodeId,
@@ -231,11 +231,7 @@ impl Topology for FatTree {
         mask: &FaultMask,
     ) -> Result<Route, RouteError> {
         let route = self.route(src, dst)?;
-        let survives = route.nodes().iter().all(|&n| mask.node_alive(n))
-            && route
-                .links(&self.net)
-                .is_some_and(|links| links.iter().all(|&l| mask.link_alive(l)));
-        if survives {
+        if route.validate(&self.net, Some(mask)).is_ok() {
             return Ok(route);
         }
         netgraph::bfs::link_shortest_path(&self.net, src, dst, Some(mask))

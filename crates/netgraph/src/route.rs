@@ -182,21 +182,20 @@ pub trait Topology: AsAny {
         Ok(vec![self.route(src, dst)?])
     }
 
-    /// Fault-tolerant variant of [`Topology::route`]. The default falls back
-    /// to breadth-first search on the surviving graph, which is a correct
-    /// (if omniscient) baseline; families override this with their native
-    /// detour schemes.
+    /// Fault-tolerant variant of [`Topology::route`]. The default keeps the
+    /// native [`Topology::route`] while it [validates](Route::validate)
+    /// under the mask, and otherwise falls back to server-hop breadth-first
+    /// search on the surviving graph, a correct (if omniscient) baseline.
+    /// Families override this with their native detour schemes.
     fn route_avoiding(
         &self,
         src: NodeId,
         dst: NodeId,
         mask: &FaultMask,
     ) -> Result<Route, RouteError> {
-        if !self.network().is_server(src) {
-            return Err(RouteError::NotAServer(src));
-        }
-        if !self.network().is_server(dst) {
-            return Err(RouteError::NotAServer(dst));
+        let route = self.route(src, dst)?;
+        if route.validate(self.network(), Some(mask)).is_ok() {
+            return Ok(route);
         }
         crate::bfs::shortest_path(self.network(), src, dst, Some(mask))
             .map(Route::new)

@@ -2,7 +2,7 @@
 //! oracle.
 
 use abccc::{Abccc, AbcccParams, PermStrategy, RetryBudget, RouteTier};
-use dcn_baselines::{FatTree, FatTreeParams};
+use dcn_baselines::{BCube, BCubeParams, DCell, DCellParams, FatTree, FatTreeParams};
 use dcn_resilience::{CampaignConfig, PairSampling, RouterSpec, ScenarioKind};
 use netgraph::Topology;
 use proptest::prelude::*;
@@ -68,11 +68,14 @@ proptest! {
 /// Oracle: at a 0% fault rate every trial must match the fault-free
 /// baseline exactly — full connectivity, full completion, stretch 1, full
 /// throughput retention, every pair answered by the primary tier with one
-/// attempt and no backoff — on the ABCCC plane and on a native plane.
+/// attempt and no backoff — on the ABCCC plane and on native planes,
+/// including BCube and DCell, which inherit `Topology::route_avoiding`.
 #[test]
 fn zero_fault_rate_matches_fault_free_baseline_exactly() {
     let fat_tree = FatTree::new(FatTreeParams::new(4).expect("params")).expect("topology");
-    let topologies: [&(dyn Topology + Sync); 2] = [&cube(), &fat_tree];
+    let bcube = BCube::new(BCubeParams::new(3, 1).expect("params")).expect("topology");
+    let dcell = DCell::new(DCellParams::new(3, 1).expect("params")).expect("topology");
+    let topologies: [&(dyn Topology + Sync); 4] = [&cube(), &fat_tree, &bcube, &dcell];
     for topo in topologies {
         let name = topo.name();
         let report = CampaignConfig::new()
