@@ -1,9 +1,8 @@
 //! The workspace's one parallel loop.
 //!
 //! [`map_indexed`] is the work-stealing pattern every parallel sweep in
-//! the workspace runs on — all-pairs and sampled distance sweeps, FIB
-//! compiles, sharded batch queries, fault campaigns, traffic batches and
-//! the experiment engine:
+//! the workspace runs on — the all-pairs distance sweep, sampled metrics,
+//! fault campaigns and the experiment engine:
 //!
 //! * **Work stealing.** Workers claim indices one at a time from a shared
 //!   atomic cursor instead of static chunks, so a worker that drew cheap

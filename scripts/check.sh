@@ -183,7 +183,7 @@ fi
 echo "== serve gate (loadgen digest determinism, shard and layout invariance, clean serve exit)"
 # The loopback loadgen's reply digest must be byte-identical across runs,
 # shard counts and FIB layouts for a fixed seed: the server's thread
-# interleavings, frame coalescing, sharded batch execution and table
+# interleavings, frame coalescing, patch-cache sharding and table
 # encoding are all invisible in the reply bytes. `serve` with stdin at
 # EOF must bind, drain, and exit 0.
 SERVE_GEN=(--json loadgen 2 2 2 --connections 4 --frames 32 --batch 8 --window 4 --seed 11)
