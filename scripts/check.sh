@@ -153,6 +153,17 @@ if ! cmp -s "$FIB_A/digest.json" "$FIB_B/digest.json"; then
   echo "FAIL: fib bench digest differs between 1 and 8 shards" >&2
   exit 1
 fi
+# The two runs share every line of the walk and the digest writer, so a
+# change to either that both runs see would pass the comparison above:
+# pin the bytes as well.
+FIB_WANT=a929f38133eb9390e32cfe3801bc98a1ab3aceb4da3ab0d847991f38c40d4047
+FIB_DIGEST="$(sha256sum "$FIB_A/digest.json" | cut -d' ' -f1)"
+if [ "$FIB_DIGEST" != "$FIB_WANT" ]; then
+  echo "FAIL: fixed-seed fib bench digest moved" >&2
+  echo "  want $FIB_WANT" >&2
+  echo "  got  $FIB_DIGEST" >&2
+  exit 1
+fi
 
 echo "== scale gate (streaming build, hier-vs-dense digest, estimator determinism)"
 # A mid-size instance (ABCCC(8,2,2): 1536 servers) exercises the streaming
@@ -166,6 +177,16 @@ SCALE_BENCH=(fib bench 8 2 2 --queries 2000 --fail-rate 0.05)
 "$CLI" "${SCALE_BENCH[@]}" --layout hier --digest "$SCALE_B/digest.json" >/dev/null
 if ! cmp -s "$SCALE_A/digest.json" "$SCALE_B/digest.json"; then
   echo "FAIL: fib bench digest differs between dense and hier layouts" >&2
+  exit 1
+fi
+# The dense table is expanded from the hier one's next hops, so the
+# comparison above cannot see a change in them: pin the hier bytes.
+SCALE_WANT=19e8bd559069fbef13d90050fb41c4bc96888c0f91f778084e97d98ff1805b83
+SCALE_DIGEST="$(sha256sum "$SCALE_B/digest.json" | cut -d' ' -f1)"
+if [ "$SCALE_DIGEST" != "$SCALE_WANT" ]; then
+  echo "FAIL: fixed-seed hier fib bench digest moved" >&2
+  echo "  want $SCALE_WANT" >&2
+  echo "  got  $SCALE_DIGEST" >&2
   exit 1
 fi
 TOPO_STATS=(--json topo stats abccc 8 2 2 --estimate --samples 32 --seed 5)
@@ -201,6 +222,14 @@ fi
 SV_D="$("$CLI" "${SERVE_GEN[@]}" --layout dense | grep '"digest"')"
 if [ "$SV_A" != "$SV_D" ]; then
   echo "FAIL: loadgen digest differs between the default (hier) and dense layouts" >&2
+  exit 1
+fi
+# Every run above shares the reply encoder, so pin the digest itself too.
+SV_WANT='"digest": "0xf234ac7ed835c666"'
+if ! grep -qF "$SV_WANT" <<<"$SV_A"; then
+  echo "FAIL: fixed-seed loadgen digest moved" >&2
+  echo "  want $SV_WANT" >&2
+  echo "  got  $SV_A" >&2
   exit 1
 fi
 if ! "$CLI" serve 2 1 2 --port 0 </dev/null | grep -q 'listening on 127.0.0.1:'; then
