@@ -108,72 +108,89 @@ impl PermStrategy {
     /// permutation: `first(p, src, dst) == order(p, src, dst).first().copied()`
     /// for every strategy (pinned by tests).
     ///
-    /// Compiled forwarding tables only ever consume the *first* correction
-    /// level of a route — the suffix property means the rest of the journey
-    /// is re-derived hop by hop — so the hierarchical FIB calls this on the
-    /// lookup path where an `order()` allocation per query would dominate.
-    /// All deterministic strategies run in O(levels) with no heap use;
-    /// [`PermStrategy::Random`] has no closed form and falls back to
-    /// `order()`.
+    /// This is the differing-level mask of the two labels followed by
+    /// [`PermStrategy::first_of`]. All deterministic strategies run in
+    /// O(levels) with no heap use; [`PermStrategy::Random`] has no closed
+    /// form and falls back to `order()`.
     pub fn first(&self, p: &AbcccParams, src: ServerAddr, dst: ServerAddr) -> Option<u32> {
         if matches!(self, PermStrategy::Random(_)) {
             return self.order(p, src, dst).first().copied();
         }
         // Bitmask of differing levels (levels ≤ 20, so u32 suffices).
         let n = u64::from(p.n());
-        let levels = p.levels();
         let mut mask = 0u32;
         let (mut ra, mut rb) = (src.label.0, dst.label.0);
-        for lvl in 0..levels {
+        for lvl in 0..p.levels() {
             if ra % n != rb % n {
                 mask |= 1 << lvl;
             }
             ra /= n;
             rb /= n;
         }
-        if mask == 0 {
-            return None;
-        }
-        let diff = |m: u32| (0..levels).filter(move |&i| m & (1 << i) != 0);
-        let m = p.group_size();
-        let key = |i: u32| (p.owner(i) + m - src.pos) % m;
-        Some(match self {
-            PermStrategy::Ascending => mask.trailing_zeros(),
-            PermStrategy::Descending => 31 - mask.leading_zeros(),
-            PermStrategy::CyclicFromSource => {
-                diff(mask).min_by_key(|&i| (key(i), i)).expect("non-empty")
-            }
-            PermStrategy::DestinationAware => {
-                // The destination's block moves to the back of the cyclic
-                // order, so the first entry is the cyclic minimum over the
-                // other blocks — unless every differing level sits in the
-                // destination block (or src and dst share a position).
-                let dst_key = (dst.pos + m - src.pos) % m;
-                let skip_dst = dst.pos != src.pos;
-                diff(mask)
-                    .filter(|&i| !skip_dst || key(i) != dst_key)
-                    .min_by_key(|&i| (key(i), i))
-                    .unwrap_or_else(|| diff(mask).min_by_key(|&i| (key(i), i)).expect("non-empty"))
-            }
-            PermStrategy::Greedy => {
-                // Levels owned by the source's position come first (ascending
-                // within the block); otherwise jump to the nearest owner with
-                // work remaining and take its lowest level.
-                match diff(mask).find(|&i| p.owner(i) == src.pos) {
-                    Some(i) => i,
-                    None => {
-                        let target = diff(mask)
-                            .map(|i| p.owner(i))
-                            .min_by_key(|&o| (o.abs_diff(src.pos), o))
-                            .expect("non-empty");
-                        diff(mask)
-                            .find(|&i| p.owner(i) == target)
-                            .expect("owner has work")
-                    }
-                }
-            }
-            PermStrategy::Random(_) => unreachable!("handled above"),
-        })
+        (mask != 0).then(|| self.first_of(mask, p.group_size(), src.pos, dst.pos, |i| p.owner(i)))
+    }
+
+    /// The first level to correct among the set bits of `mask` (bit `i`
+    /// set: level `i` still differs), for a server at group position `pos`
+    /// heading for position `dst_pos` in groups of `m`, where `owner` maps
+    /// a level to the position that owns it.
+    ///
+    /// Compiled forwarding tables only ever consume the *first* correction
+    /// level of a route — the suffix property means the rest of the journey
+    /// is re-derived hop by hop — so a table walk calls this once per hop
+    /// with a mask it keeps itself, and [`PermStrategy::first`] calls it
+    /// with a mask it decodes from the labels: one selection for both, so
+    /// the two cannot drift. No division, no allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mask` is empty, or for [`PermStrategy::Random`], whose
+    /// order has no closed-form first entry.
+    #[inline]
+    pub fn first_of(
+        &self,
+        mask: u32,
+        m: u32,
+        pos: u32,
+        dst_pos: u32,
+        owner: impl Fn(u32) -> u32,
+    ) -> u32 {
+        assert!(mask != 0, "no differing level to choose from");
+        // Cyclic distance from `pos` to owner `o`, i.e. `(o + m - pos) % m`
+        // for positions below `m`.
+        let key = |o: u32| if o >= pos { o - pos } else { o + m - pos };
+        // The set levels ascending, so `min_by_key` breaks ties by level
+        // as `order`'s sorts do.
+        let mut rest = mask;
+        let levels = std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let i = rest.trailing_zeros();
+                rest &= rest - 1;
+                i
+            })
+        });
+        let chosen = match self {
+            PermStrategy::Ascending => Some(mask.trailing_zeros()),
+            PermStrategy::Descending => Some(31 - mask.leading_zeros()),
+            PermStrategy::CyclicFromSource => levels.min_by_key(|&i| key(owner(i))),
+            // The destination's block moves to the back of the cyclic
+            // order (when it is not also the source's block), so the
+            // first entry is the cyclic minimum over the other blocks, or
+            // over the destination's when no other block has work.
+            PermStrategy::DestinationAware => levels.min_by_key(|&i| {
+                let o = owner(i);
+                (o == dst_pos && dst_pos != pos, key(o))
+            }),
+            // Levels owned by the current position come first; otherwise
+            // jump to the nearest owner with work remaining (the lower on
+            // a tie) and take its lowest level.
+            PermStrategy::Greedy => levels.min_by_key(|&i| {
+                let o = owner(i);
+                (o.abs_diff(pos), o)
+            }),
+            PermStrategy::Random(_) => panic!("random orders have no closed-form first level"),
+        };
+        chosen.expect("non-empty mask")
     }
 
     /// All strategies with a representative random seed — handy for sweeps.

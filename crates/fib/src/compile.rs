@@ -207,6 +207,11 @@ impl Fib {
         self.entries.len() * std::mem::size_of::<u32>()
     }
 
+    /// The walk-length bound: most nodes any strategy's route can hold.
+    pub(crate) fn max_nodes(&self) -> u32 {
+        self.max_nodes
+    }
+
     /// The packed `(server port, switch port)` entry for a hop, or `None`
     /// on the diagonal.
     pub fn ports(&self, at: NodeId, toward: NodeId) -> Option<(u16, u16)> {
@@ -408,23 +413,37 @@ mod tests {
             let t = topo(n, k, h);
             let p = *t.params();
             let net = t.network();
+            let healthy = netgraph::FaultMask::new(net);
             for strategy in DETERMINISTIC {
-                let fib = FibCompiler::new(strategy).compile(&t).unwrap();
                 let router = DigitRouter::new(strategy);
-                for s in 0..p.server_count() as u32 {
-                    for d in 0..p.server_count() as u32 {
-                        let walked = fib.route(net, NodeId(s), NodeId(d));
-                        let direct = router.route_addrs(
-                            &p,
-                            ServerAddr::from_node_id(&p, NodeId(s)),
-                            ServerAddr::from_node_id(&p, NodeId(d)),
-                        );
-                        assert_eq!(
-                            walked,
-                            direct,
-                            "ABCCC({n},{k},{h}) {} {s}->{d}",
-                            strategy.label()
-                        );
+                for layout in [FibLayout::Dense, FibLayout::Hier] {
+                    let table = FibTable::compile(strategy, layout, &t).unwrap();
+                    for s in 0..p.server_count() as u32 {
+                        for d in 0..p.server_count() as u32 {
+                            let walked = table.route(net, NodeId(s), NodeId(d));
+                            let direct = router.route_addrs(
+                                &p,
+                                ServerAddr::from_node_id(&p, NodeId(s)),
+                                ServerAddr::from_node_id(&p, NodeId(d)),
+                            );
+                            let at = format!(
+                                "ABCCC({n},{k},{h}) {} {layout} {s}->{d}",
+                                strategy.label()
+                            );
+                            assert_eq!(walked, direct, "{at}");
+                            let mut live = Vec::new();
+                            assert!(
+                                table.walk_live_into(
+                                    net,
+                                    &healthy,
+                                    NodeId(s),
+                                    NodeId(d),
+                                    &mut live
+                                ),
+                                "{at}"
+                            );
+                            assert_eq!(live, direct.nodes(), "{at}");
+                        }
                     }
                 }
             }

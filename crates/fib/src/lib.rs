@@ -60,5 +60,5 @@ mod table;
 
 pub use compile::{compile_shortest, compile_shortest_hier, Fib, FibCompiler, FibError};
 pub use hier::HierFib;
-pub use service::{InvalidationReport, RouteService};
+pub use service::{InvalidationReport, Lookup, RouteService};
 pub use table::{FibLayout, FibTable};

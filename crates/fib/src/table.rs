@@ -119,6 +119,15 @@ impl FibTable {
         }
     }
 
+    /// The walk-length bound: most nodes any strategy's route can hold.
+    pub(crate) fn max_nodes(&self) -> usize {
+        let bound = match self {
+            FibTable::Dense(f) => f.max_nodes(),
+            FibTable::Hier(f) => f.max_nodes(),
+        };
+        bound as usize
+    }
+
     /// The `(server port, switch port)` pair for a hop, or `None` on the
     /// diagonal.
     pub fn ports(&self, at: NodeId, toward: NodeId) -> Option<(u16, u16)> {
