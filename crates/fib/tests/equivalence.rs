@@ -12,9 +12,9 @@ fn topo(n: u32, k: u32, h: u32) -> Abccc {
     Abccc::new(AbcccParams::new(n, k, h).expect("params")).expect("topology")
 }
 
-/// The grids the properties sweep: a crossbar topology (m = 2) and a
-/// BCube-degenerate one (m = 1, no crossbars).
-const GRIDS: [(u32, u32, u32); 2] = [(3, 2, 2), (2, 3, 3)];
+/// The grids the properties sweep: two crossbar topologies (m = 3 and
+/// m = 2) and a BCube-degenerate one (m = 1, no crossbars).
+const GRIDS: [(u32, u32, u32); 3] = [(3, 2, 2), (2, 3, 3), (3, 2, 4)];
 
 /// Draws `count` (src, dst) server pairs from a seeded stream (the
 /// vendored proptest stand-in has no collection strategies).

@@ -61,8 +61,10 @@ mod tests {
 
     #[test]
     fn live_probes_are_sane() {
-        let peak = peak_rss_bytes();
+        // Current first: memory a sibling test thread allocates between
+        // the two reads then raises the peak too, never only the current.
         let cur = current_rss_bytes();
+        let peak = peak_rss_bytes();
         if let Some(peak) = peak {
             // A running test binary occupies at least a page and the peak
             // bounds the current level.
