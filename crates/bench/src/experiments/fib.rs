@@ -6,7 +6,7 @@ use super::titled;
 use crate::fmt_f;
 use crate::registry::{Experiment, PointCtx, PointSpec, Preset, Row};
 use abccc::{Abccc, AbcccParams, DigitRouter, RouteTier, Router};
-use dcn_fib::{FibLayout, RouteService};
+use dcn_fib::RouteService;
 use netgraph::{FaultScenario, NodeId, Topology};
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
@@ -108,10 +108,8 @@ impl Experiment for FibThroughput {
         let p = AbcccParams::new(n, k, h).map_err(|e| e.to_string())?;
         let topo = Abccc::new(p).map_err(|e| format!("{p}: {e}"))?;
 
-        // Dense: the artifact records this layout's `table_bytes`.
         let t0 = Instant::now();
-        let mut svc = RouteService::compile_with_layout(topo, FibLayout::Dense, Self::SHARDS)
-            .map_err(|e| format!("{p}: {e}"))?;
+        let mut svc = RouteService::compile(topo, Self::SHARDS).map_err(|e| format!("{p}: {e}"))?;
         let compile_ms = t0.elapsed().as_secs_f64() * 1e3;
         let table_bytes = svc.table().bytes() as u64;
 

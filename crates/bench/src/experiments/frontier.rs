@@ -4,13 +4,10 @@
 //! Each grid point builds one instance through the streaming CSR path and
 //! measures both sides of the O(V²) wall:
 //!
-//! * **FIB layouts** — compile the dense `(src, dst)` table where its
-//!   `4·N²` bytes are still sane, always compile the hierarchical
-//!   digit-structured table, verify the two answer sampled routes
-//!   bit-identically, and record the memory ratio. Past the dense
-//!   feasibility cap the hierarchical walks are checked against the
-//!   on-demand `DigitRouter` instead, so every row carries a verified
-//!   `routes_match` flag.
+//! * **FIB** — compile the digit-structured table, check its walks of
+//!   sampled pairs against the on-demand `DigitRouter` (every row carries
+//!   a verified `routes_match` flag), and record its bytes against the
+//!   `4·N²` an all-pairs `(src, dst)` table would need.
 //! * **Graph metrics** — sampled diameter/APL (seeded source sampling,
 //!   byte-identical at any thread count) plus seeded bisection probing;
 //!   on instances below the exact-feasibility cap the exact
@@ -37,20 +34,16 @@ struct FrontierRow {
     servers: u64,
     nodes: usize,
     links: usize,
-    /// Whether the dense layout was compiled (skipped past the cap, where
-    /// its quadratic table would dwarf the machine).
-    dense_compiled: bool,
-    /// Dense table bytes (0 when skipped).
-    dense_bytes: u64,
-    /// What the dense table *would* occupy: `4·N²` (the wall itself).
+    /// What an all-pairs table of packed `u32` entries would occupy:
+    /// `4·N²` (the wall itself).
     dense_bytes_predicted: u64,
     hier_bytes: u64,
     /// `dense_bytes_predicted / hier_bytes` — how far past the wall the
-    /// hierarchical layout reaches.
+    /// digit-structured table reaches.
     bytes_ratio: f64,
     lookup_pairs: usize,
-    /// Hier walks verified bit-identical against the dense table (when
-    /// compiled) or the on-demand digit router (when not).
+    /// Table walks verified bit-identical against the on-demand digit
+    /// router.
     routes_match: bool,
     total_link_hops: u64,
     samples: usize,
@@ -67,7 +60,8 @@ struct FrontierRow {
     apl_within_ci: bool,
 }
 
-/// Dense-vs-hier FIB and exact-vs-sampled metrics across the size sweep.
+/// FIB size against the all-pairs wall, and exact-vs-sampled metrics,
+/// across the size sweep.
 pub struct ScaleFrontier;
 
 impl ScaleFrontier {
@@ -75,7 +69,7 @@ impl ScaleFrontier {
         match preset {
             // Everything exact-feasible: the cross-validation points.
             Preset::Tiny => vec![(2, 2, 2), (3, 2, 2)],
-            // Up to ~1.5k servers: dense still compiles, exact still runs.
+            // Up to ~1.5k servers: exact still runs.
             Preset::Paper => vec![(3, 2, 2), (4, 2, 2), (4, 3, 2), (8, 2, 2)],
             // Past the wall: 131 072 servers — hier + sampled only.
             Preset::Scale => {
@@ -86,10 +80,6 @@ impl ScaleFrontier {
         }
     }
 
-    /// Dense layout compiled only below this server count: the quadratic
-    /// table crosses 64 MiB right above it and tens of GiB at the scale
-    /// point.
-    const DENSE_CAP: u64 = 4096;
     /// Exact all-pairs sweep only below this server count.
     const EXACT_CAP: u64 = 2048;
     const SAMPLES: usize = 64;
@@ -111,11 +101,11 @@ impl Experiment for ScaleFrontier {
         "Scale frontier"
     }
     fn summary(&self) -> &'static str {
-        "dense vs hierarchical FIB memory/time and exact vs sampled metrics across the size sweep"
+        "FIB memory against the all-pairs wall and exact vs sampled metrics across the size sweep"
     }
     fn title(&self, preset: Preset) -> String {
         titled(
-            "Scale frontier: dense vs hier FIB, exact vs sampled metrics",
+            "Scale frontier: FIB vs the all-pairs wall, exact vs sampled metrics",
             preset,
         )
     }
@@ -126,9 +116,7 @@ impl Experiment for ScaleFrontier {
             "dense MiB",
             "hier KiB",
             "ratio",
-            "dense ms",
             "hier ms",
-            "dense ns/lkp",
             "hier ns/lkp",
             "D̂ (lb) / D",
             "APL̂ ± ci (err)",
@@ -139,7 +127,6 @@ impl Experiment for ScaleFrontier {
     }
     fn manifest_params(&self, preset: Preset) -> Vec<(&'static str, String)> {
         vec![
-            ("dense_cap", Self::DENSE_CAP.to_string()),
             ("exact_cap", Self::EXACT_CAP.to_string()),
             ("samples", Self::SAMPLES.to_string()),
             ("bisection_trials", Self::BISECTION_TRIALS.to_string()),
@@ -161,22 +148,12 @@ impl Experiment for ScaleFrontier {
         let net = topo.network();
         let servers = p.server_count();
 
-        // --- FIB layouts -------------------------------------------------
+        // --- FIB -----------------------------------------------------------
         let t0 = Instant::now();
         let hier = FibCompiler::shortest()
-            .compile_hier(&topo)
+            .compile(&topo)
             .map_err(|e| format!("{p}: {e}"))?;
         let hier_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-        let dense = if servers <= Self::DENSE_CAP {
-            let t1 = Instant::now();
-            let fib = FibCompiler::shortest()
-                .compile(&topo)
-                .map_err(|e| format!("{p}: {e}"))?;
-            Some((fib, t1.elapsed().as_secs_f64() * 1e3))
-        } else {
-            None
-        };
         let dense_bytes_predicted = servers * servers * 4;
 
         let mut rng = rand::rngs::StdRng::seed_from_u64(ctx.seed);
@@ -189,7 +166,7 @@ impl Experiment for ScaleFrontier {
             })
             .collect();
 
-        // Hier lookups: total hops is deterministic, the ns/lookup is not.
+        // Table walks: total hops is deterministic, the ns/lookup is not.
         let t2 = Instant::now();
         let mut total_link_hops = 0u64;
         let mut buf = Vec::with_capacity(32);
@@ -200,32 +177,13 @@ impl Experiment for ScaleFrontier {
         }
         let hier_ns = t2.elapsed().as_nanos() as f64 / pairs.len() as f64;
 
-        // Verify hier against dense where dense exists, else against the
-        // on-demand router — every row carries a checked equivalence flag.
-        let (routes_match, dense_ns) = match &dense {
-            Some((fib, _)) => {
-                let t3 = Instant::now();
-                for &(s, d) in &pairs {
-                    buf.clear();
-                    fib.walk_into(net, s, d, &mut buf);
-                }
-                let dense_ns = t3.elapsed().as_nanos() as f64 / pairs.len() as f64;
-                let ok = pairs
-                    .iter()
-                    .all(|&(s, d)| fib.route(net, s, d) == hier.route(net, s, d));
-                (ok, Some(dense_ns))
-            }
-            None => {
-                let digit = DigitRouter::shortest();
-                let ok = pairs.iter().all(|&(s, d)| {
-                    digit
-                        .route_ids(&p, s, d)
-                        .map(|r| r == hier.route(net, s, d))
-                        .unwrap_or(false)
-                });
-                (ok, None)
-            }
-        };
+        // Every row carries a checked equivalence flag.
+        let digit = DigitRouter::shortest();
+        let routes_match = pairs.iter().all(|&(s, d)| {
+            digit
+                .route_ids(&p, s, d)
+                .is_ok_and(|r| r == hier.route(net, s, d))
+        });
         if !routes_match {
             return Err(format!("{p}: hier FIB diverged from the reference routes"));
         }
@@ -275,8 +233,6 @@ impl Experiment for ScaleFrontier {
             servers,
             nodes: net.node_count(),
             links: net.link_count(),
-            dense_compiled: dense.is_some(),
-            dense_bytes: dense.as_ref().map_or(0, |(f, _)| f.bytes() as u64),
             dense_bytes_predicted,
             hier_bytes,
             bytes_ratio: dense_bytes_predicted as f64 / hier_bytes as f64,
@@ -319,11 +275,7 @@ impl Experiment for ScaleFrontier {
                 fmt_f(row.dense_bytes_predicted as f64 / (1024.0 * 1024.0), 1),
                 fmt_f(row.hier_bytes as f64 / 1024.0, 1),
                 fmt_f(row.bytes_ratio, 0),
-                dense
-                    .as_ref()
-                    .map_or("-".to_string(), |(_, ms)| fmt_f(*ms, 2)),
                 fmt_f(hier_ms, 2),
-                dense_ns.map_or("-".to_string(), |ns| fmt_f(ns, 0)),
                 fmt_f(hier_ns, 0),
                 diameter_cell,
                 apl_cell,

@@ -154,7 +154,6 @@ mod tables {
     ];
 
     const SHARDS: Flag = flag("--shards", U64, "8", "route-service shards, rounded up to a power of two");
-    const LAYOUT: Flag = flag("--layout", Choice(&["hier", "dense"]), "hier", "FIB layout; dense expands hier to all N² pairs");
     const FAIL_RATE: Flag = flag("--fail-rate", Fraction, "0", "fail this fraction of servers and switches");
     const FAIL_SEED: Flag = flag("--fail-seed", U64, "0", "seed of the failure mask");
     const THREADS: Flag = flag("--threads", U64, "0", "worker threads (0 = all cores)");
@@ -185,16 +184,16 @@ mod tables {
     const TRACE: &[Flag] = &[flag("--file", Text("TRACE.csv"), "", "the CSV flow trace (required)")];
     const DESIGN: &[Flag] = &[flag("--objective", Choice(&["cost", "latency", "bandwidth"]), "cost", "ranking")];
     const SIM_RUN: &[Flag] = &[flag("--seed", U64, "1", "scenario seed")];
-    const FIB: &[Flag] = &[SHARDS, LAYOUT, FAIL_RATE, FAIL_SEED];
+    const FIB: &[Flag] = &[SHARDS, FAIL_RATE, FAIL_SEED];
     const FIB_BENCH: &[Flag] = &[
         flag("--queries", U64, "20000", "random pairs to look up"),
         flag("--seed", U64, "21", "pair-sampling seed"),
-        SHARDS, LAYOUT, FAIL_RATE, FAIL_SEED,
+        SHARDS, FAIL_RATE, FAIL_SEED,
         flag("--digest", Text("FILE"), "", "write the deterministic result digest (JSON)"),
     ];
     const SERVE: &[Flag] = &[
         flag("--port", U16, "0", "TCP port on 127.0.0.1 (0 = ephemeral)"),
-        SHARDS, LAYOUT,
+        SHARDS,
         flag("--max-inflight", U64, "4096", "per-connection in-flight query budget"),
         flag("--max-batch", U64, "4096", "largest pair count of one batch frame"),
     ];
@@ -204,7 +203,7 @@ mod tables {
         flag("--batch", U64, "16", "pairs per frame"),
         flag("--window", U64, "8", "frames in flight per connection"),
         flag("--seed", U64, "1", "pair-sampling seed"),
-        SHARDS, LAYOUT,
+        SHARDS,
     ];
     const TOPO_STATS: &[Flag] = &[
         flag("--estimate", Switch, "", "seeded sampling instead of exact sweeps"),

@@ -702,14 +702,10 @@ fn resilience_cmd(inv: &Invocation) -> Result<(), String> {
 }
 
 /// Compiles the route service of `fib`, `serve` and `loadgen` from their
-/// shared `--shards` and `--layout` flags.
+/// shared `--shards` flag.
 fn compile_service(inv: &Invocation, p: AbcccParams) -> Result<dcn_fib::RouteService, String> {
-    let layout = inv.text("--layout").unwrap_or_default();
-    let layout = dcn_fib::FibLayout::parse(layout)
-        .ok_or_else(|| format!("unknown layout `{layout}` (hier|dense)"))?;
     let topo = abccc::Abccc::new(p).map_err(|e| e.to_string())?;
-    dcn_fib::RouteService::compile_with_layout(topo, layout, inv.num("--shards")?)
-        .map_err(|e| e.to_string())
+    dcn_fib::RouteService::compile(topo, inv.num("--shards")?).map_err(|e| e.to_string())
 }
 
 /// The `fib` service: compiled, masked by `--fail-rate`/`--fail-seed`,
@@ -738,7 +734,6 @@ fn fib_compile(inv: &Invocation) -> Result<(), String> {
             ("topology", Value::Str(p.to_string())),
             ("servers", Value::U64(u64::from(fib.servers()))),
             ("strategy", Value::Str(fib.strategy().label().to_string())),
-            ("layout", Value::Str(fib.layout().label().to_string())),
             ("table_bytes", Value::U64(fib.bytes() as u64)),
             ("shards", Value::U64(svc.shard_count() as u64)),
             ("compile_ms", Value::F64(compile_ms)),
@@ -746,7 +741,6 @@ fn fib_compile(inv: &Invocation) -> Result<(), String> {
     }
     println!("{p}: compiled forwarding table");
     println!("  strategy     {}", fib.strategy().label());
-    println!("  layout       {}", fib.layout().label());
     println!("  servers      {}", fib.servers());
     println!("  table size   {:.1} KiB", fib.bytes() as f64 / 1024.0);
     println!("  shards       {}", svc.shard_count());

@@ -28,7 +28,7 @@
 //! and seeding semantics through [`check_endpoints`] and [`pair_seed`].
 
 use crate::Abccc;
-use netgraph::{FaultMask, NodeId, Route, RouteError};
+use netgraph::{FaultMask, NodeId, Route, RouteError, Topology};
 use serde::{Deserialize, Serialize};
 
 /// Which escalation tier produced a route (cheapest first).
@@ -147,11 +147,13 @@ pub fn check_endpoints(
     dst: NodeId,
     mask: Option<&FaultMask>,
 ) -> Result<(), RouteError> {
-    let p = topo.params();
-    if u64::from(src.0) >= p.server_count() {
+    // The network's stored count: `AbcccParams::server_count` recomputes
+    // the label space on every call, and every lookup passes through here.
+    let servers = topo.network().server_count();
+    if src.index() >= servers {
         return Err(RouteError::NotAServer(src));
     }
-    if u64::from(dst.0) >= p.server_count() {
+    if dst.index() >= servers {
         return Err(RouteError::NotAServer(dst));
     }
     if let Some(m) = mask {

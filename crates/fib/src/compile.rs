@@ -11,11 +11,11 @@
 //! Servers, on the other hand, fully determine the next two hops — which
 //! matches the server-centric design ABCCC inherits from BCube, where
 //! switches are dumb crossbars and all forwarding intelligence lives in
-//! the servers. Each table entry packs the pair of egress *ports* (server
-//! port, then via-switch port) into one `u32` over the stable
-//! link-insertion port order of [`netgraph::Network::neighbors`].
+//! the servers. A hop is a pair of egress *ports* (server port, then
+//! via-switch port) over the stable link-insertion port order of
+//! [`netgraph::Network::neighbors`].
 //!
-//! # Why one entry per `(server, destination)` suffices
+//! # Why the current server and the destination suffice
 //!
 //! Every deterministic [`PermStrategy`] has the *suffix property*: at any
 //! intermediate server of a route, recomputing the correction order from
@@ -24,17 +24,16 @@
 //! order when the reference position advances with the walk, and the
 //! destination-block-last rotation is stable at every intermediate.) So a
 //! hop-by-hop table walk reproduces the end-to-end
-//! [`DigitRouter::route_addrs`] path bit for bit — the equivalence the
-//! property tests pin. [`PermStrategy::Random`] salts its RNG with the
+//! [`DigitRouter::route_addrs`](abccc::DigitRouter::route_addrs) path bit
+//! for bit — the equivalence the property tests pin — and the table only
+//! has to store what a hop reads ([`HierFib`] stores it per digit, not
+//! per destination). [`PermStrategy::Random`] salts its RNG with the
 //! *original* source and is the one strategy without the property; the
 //! compiler rejects it.
 
+use crate::hier::HierFib;
 use abccc::{Abccc, AbcccParams, PermStrategy};
-use netgraph::{Network, NodeId, Route};
-
-/// Sentinel for the diagonal entries (`src == dst`): never dereferenced,
-/// a walk terminates before reading it.
-const SELF: u32 = u32::MAX;
+use netgraph::NodeId;
 
 /// Why a FIB could not be compiled or installed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,12 +98,8 @@ impl std::fmt::Display for FibError {
 
 impl std::error::Error for FibError {}
 
-/// Compiles [`DigitRouter`] decisions into forwarding tables.
-///
-/// The hierarchical table ([`FibCompiler::compile_hier`]) is the one
-/// place a next hop is decided; the dense table
-/// ([`FibCompiler::compile`]) is that table expanded to every
-/// `(server, destination)` pair.
+/// Compiles [`DigitRouter`](abccc::DigitRouter) decisions into forwarding
+/// tables.
 #[derive(Debug, Clone, Copy)]
 pub struct FibCompiler {
     strategy: PermStrategy,
@@ -123,9 +118,8 @@ impl FibCompiler {
         FibCompiler::new(PermStrategy::DestinationAware)
     }
 
-    /// Compiles the full `(server, destination)` next-hop table for `topo`
-    /// by expanding the hierarchical one: `entries[d·N + u]` is
-    /// `hier.ports(u, d)`. O(N²) on the calling thread.
+    /// Compiles the digit-structured table for `topo` in O(E) time and
+    /// `O(V·levels + E)` memory.
     ///
     /// # Errors
     ///
@@ -133,189 +127,14 @@ impl FibCompiler {
     ///   suffix-stable orders;
     /// * [`FibError::PortOverflow`] — a node degree exceeds the 16-bit port
     ///   field (not reachable for valid ABCCC parameters, checked anyway).
-    pub fn compile(&self, topo: &Abccc) -> Result<Fib, FibError> {
-        let _span = dcn_telemetry::span!("fib.compile");
-        let hier = crate::hier::build(self.strategy, topo)?;
-        let servers = hier.servers();
-        let mut entries = Vec::with_capacity(servers as usize * servers as usize);
-        for d in 0..servers {
-            entries.extend(
-                (0..servers).map(|u| match hier.ports(NodeId(u), NodeId(d)) {
-                    Some((sport, wport)) => u32::from(sport) << 16 | u32::from(wport),
-                    None => SELF,
-                }),
-            );
-        }
-        let fib = Fib {
-            strategy: self.strategy,
-            params: *hier.params(),
-            servers,
-            max_nodes: hier.max_nodes(),
-            entries,
-        };
-        dcn_telemetry::counter!("fib.compiles").inc();
-        dcn_telemetry::gauge!("fib.table_bytes").set(fib.bytes() as i64);
-        Ok(fib)
-    }
-
-    /// Compiles the hierarchical digit-structured table for `topo` —
-    /// the same lookups as [`FibCompiler::compile`] at
-    /// `O(V·levels + E)` memory instead of `O(V²)`, in O(E) time.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FibCompiler::compile`].
-    pub fn compile_hier(&self, topo: &Abccc) -> Result<crate::HierFib, FibError> {
+    pub fn compile(&self, topo: &Abccc) -> Result<HierFib, FibError> {
         crate::hier::compile(self.strategy, topo)
     }
-}
-
-/// A compiled forwarding table: for every `(server, destination)` pair the
-/// next two hops (via switch, next server) of the strategy's route, packed
-/// as two 16-bit egress ports in one `u32`. Lookups are pure reads of an
-/// immutable slab — shareable across any number of query threads without
-/// locks.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Fib {
-    strategy: PermStrategy,
-    params: AbcccParams,
-    servers: u32,
-    max_nodes: u32,
-    /// `entries[dst * servers + src]`, destination-major so one walk stays
-    /// inside one slab.
-    entries: Vec<u32>,
-}
-
-impl Fib {
-    /// The strategy the table was compiled from.
-    pub fn strategy(&self) -> PermStrategy {
-        self.strategy
-    }
-
-    /// The parameters of the topology the table was compiled for.
-    pub fn params(&self) -> &AbcccParams {
-        &self.params
-    }
-
-    /// Number of servers the table covers.
-    pub fn servers(&self) -> u32 {
-        self.servers
-    }
-
-    /// Table size in bytes (entries only).
-    pub fn bytes(&self) -> usize {
-        self.entries.len() * std::mem::size_of::<u32>()
-    }
-
-    /// The walk-length bound: most nodes any strategy's route can hold.
-    pub(crate) fn max_nodes(&self) -> u32 {
-        self.max_nodes
-    }
-
-    /// The packed `(server port, switch port)` entry for a hop, or `None`
-    /// on the diagonal.
-    pub fn ports(&self, at: NodeId, toward: NodeId) -> Option<(u16, u16)> {
-        let e = self.entries[toward.index() * self.servers as usize + at.index()];
-        (e != SELF).then_some(((e >> 16) as u16, (e & 0xFFFF) as u16))
-    }
-
-    /// Walks the table from `src` to `dst`, appending the full node
-    /// sequence (servers and switches, `src` included) to `nodes`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an endpoint is out of range for the table, or — the
-    /// corruption guard — if the walk exceeds the worst-case route length
-    /// of any strategy (every level paying a crossbar and a switch hop).
-    pub fn walk_into(&self, net: &Network, src: NodeId, dst: NodeId, nodes: &mut Vec<NodeId>) {
-        let cap = self.max_nodes as usize;
-        nodes.push(src);
-        let mut cur = src;
-        while cur != dst {
-            assert!(
-                nodes.len() < cap,
-                "fib walk {src}->{dst} exceeded the route-length bound — corrupt table"
-            );
-            let e = self.entries[dst.index() * self.servers as usize + cur.index()];
-            let (via, _) = net.neighbors(cur)[(e >> 16) as usize];
-            let (next, _) = net.neighbors(via)[(e & 0xFFFF) as usize];
-            nodes.push(via);
-            nodes.push(next);
-            cur = next;
-        }
-    }
-
-    /// The compiled route `src → dst` as a [`Route`].
-    pub fn route(&self, net: &Network, src: NodeId, dst: NodeId) -> Route {
-        let mut nodes = Vec::with_capacity(self.max_nodes as usize);
-        self.walk_into(net, src, dst, &mut nodes);
-        Route::new(nodes)
-    }
-
-    /// Walks `src → dst` under a fault mask, appending to `nodes` and
-    /// reporting whether every traversed node and link is alive — the
-    /// hot-path equivalent of `Route::validate(net, Some(mask))` for a
-    /// structurally valid table walk.
-    pub fn walk_live_into(
-        &self,
-        net: &Network,
-        mask: &netgraph::FaultMask,
-        src: NodeId,
-        dst: NodeId,
-        nodes: &mut Vec<NodeId>,
-    ) -> bool {
-        let cap = self.max_nodes as usize;
-        nodes.push(src);
-        let mut alive = mask.node_alive(src);
-        let mut cur = src;
-        while cur != dst {
-            assert!(
-                nodes.len() < cap,
-                "fib walk {src}->{dst} exceeded the route-length bound — corrupt table"
-            );
-            let e = self.entries[dst.index() * self.servers as usize + cur.index()];
-            let (via, l1) = net.neighbors(cur)[(e >> 16) as usize];
-            let (next, l2) = net.neighbors(via)[(e & 0xFFFF) as usize];
-            alive = alive
-                && mask.link_alive(l1)
-                && mask.node_alive(via)
-                && mask.link_alive(l2)
-                && mask.node_alive(next);
-            nodes.push(via);
-            nodes.push(next);
-            cur = next;
-        }
-        alive
-    }
-}
-
-/// Convenience: compiles the shortest-path table in the dense layout —
-/// what [`DigitRouter::shortest`] computes per query, amortized once.
-///
-/// # Errors
-///
-/// Propagates [`FibCompiler::compile`] failures (not reachable for valid
-/// ABCCC parameters with the destination-aware strategy).
-pub fn compile_shortest(topo: &Abccc) -> Result<Fib, FibError> {
-    FibCompiler::shortest().compile(topo)
-}
-
-/// Convenience: compiles the shortest-path table in the hierarchical
-/// layout — same answers as [`compile_shortest`] at `O(V·levels + E)`
-/// memory.
-///
-/// # Errors
-///
-/// Propagates [`FibCompiler::compile_hier`] failures (not reachable for
-/// valid ABCCC parameters with the destination-aware strategy).
-pub fn compile_shortest_hier(topo: &Abccc) -> Result<crate::HierFib, FibError> {
-    FibCompiler::shortest().compile_hier(topo)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FibLayout, FibTable};
     use abccc::{DigitRouter, ServerAddr, SwitchAddr};
     use netgraph::Topology;
 
@@ -336,8 +155,9 @@ mod tests {
         Abccc::new(AbcccParams::new(n, k, h).unwrap()).unwrap()
     }
 
-    /// The next-hop oracle, independent of both layouts: the first two hops
-    /// of `strategy.order`'s route out of `u` toward `d`, as ports.
+    /// The next-hop oracle, independent of the table and of the walk's
+    /// level selection: the first two hops of `strategy.order`'s route out
+    /// of `u` toward `d`, as ports.
     fn oracle_ports(t: &Abccc, strategy: PermStrategy, u: NodeId, d: NodeId) -> Option<(u16, u16)> {
         if u == d {
             return None;
@@ -381,26 +201,23 @@ mod tests {
     }
 
     #[test]
-    fn both_layouts_match_the_order_oracle_exhaustively() {
+    fn ports_match_the_order_oracle_exhaustively() {
         for (n, k, h) in SIZES {
             let t = topo(n, k, h);
             let servers = t.params().server_count() as u32;
             for strategy in DETERMINISTIC {
-                for layout in [FibLayout::Dense, FibLayout::Hier] {
-                    let table = FibTable::compile(strategy, layout, &t).unwrap();
-                    assert_eq!(table.layout(), layout);
-                    assert_eq!(table.strategy(), strategy);
-                    assert_eq!(table.params(), t.params());
-                    assert_eq!(table.servers(), servers);
-                    for s in 0..servers {
-                        for d in 0..servers {
-                            assert_eq!(
-                                table.ports(NodeId(s), NodeId(d)),
-                                oracle_ports(&t, strategy, NodeId(s), NodeId(d)),
-                                "ABCCC({n},{k},{h}) {} {layout} {s}->{d}",
-                                strategy.label()
-                            );
-                        }
+                let table = FibCompiler::new(strategy).compile(&t).unwrap();
+                assert_eq!(table.strategy(), strategy);
+                assert_eq!(table.params(), t.params());
+                assert_eq!(table.servers(), servers);
+                for s in 0..servers {
+                    for d in 0..servers {
+                        assert_eq!(
+                            table.ports(NodeId(s), NodeId(d)),
+                            oracle_ports(&t, strategy, NodeId(s), NodeId(d)),
+                            "ABCCC({n},{k},{h}) {} {s}->{d}",
+                            strategy.label()
+                        );
                     }
                 }
             }
@@ -416,34 +233,23 @@ mod tests {
             let healthy = netgraph::FaultMask::new(net);
             for strategy in DETERMINISTIC {
                 let router = DigitRouter::new(strategy);
-                for layout in [FibLayout::Dense, FibLayout::Hier] {
-                    let table = FibTable::compile(strategy, layout, &t).unwrap();
-                    for s in 0..p.server_count() as u32 {
-                        for d in 0..p.server_count() as u32 {
-                            let walked = table.route(net, NodeId(s), NodeId(d));
-                            let direct = router.route_addrs(
-                                &p,
-                                ServerAddr::from_node_id(&p, NodeId(s)),
-                                ServerAddr::from_node_id(&p, NodeId(d)),
-                            );
-                            let at = format!(
-                                "ABCCC({n},{k},{h}) {} {layout} {s}->{d}",
-                                strategy.label()
-                            );
-                            assert_eq!(walked, direct, "{at}");
-                            let mut live = Vec::new();
-                            assert!(
-                                table.walk_live_into(
-                                    net,
-                                    &healthy,
-                                    NodeId(s),
-                                    NodeId(d),
-                                    &mut live
-                                ),
-                                "{at}"
-                            );
-                            assert_eq!(live, direct.nodes(), "{at}");
-                        }
+                let table = FibCompiler::new(strategy).compile(&t).unwrap();
+                for s in 0..p.server_count() as u32 {
+                    for d in 0..p.server_count() as u32 {
+                        let walked = table.route(net, NodeId(s), NodeId(d));
+                        let direct = router.route_addrs(
+                            &p,
+                            ServerAddr::from_node_id(&p, NodeId(s)),
+                            ServerAddr::from_node_id(&p, NodeId(d)),
+                        );
+                        let at = format!("ABCCC({n},{k},{h}) {} {s}->{d}", strategy.label());
+                        assert_eq!(walked, direct, "{at}");
+                        let mut live = Vec::new();
+                        assert!(
+                            table.walk_live_into(net, &healthy, NodeId(s), NodeId(d), &mut live),
+                            "{at}"
+                        );
+                        assert_eq!(live, direct.nodes(), "{at}");
                     }
                 }
             }
@@ -451,20 +257,10 @@ mod tests {
     }
 
     #[test]
-    fn table_size_is_quadratic_and_compact() {
-        let t = topo(3, 1, 2); // 18 servers
-        let fib = compile_shortest(&t).unwrap();
-        assert_eq!(fib.servers(), 18);
-        assert_eq!(fib.bytes(), 18 * 18 * 4);
-        assert!(fib.ports(NodeId(0), NodeId(0)).is_none());
-        assert!(fib.ports(NodeId(0), NodeId(17)).is_some());
-    }
-
-    #[test]
     fn bcube_endpoint_has_no_crossbars_and_still_compiles() {
         let t = topo(3, 1, 3); // m = 1: no crossbars materialized
         let p = *t.params();
-        let fib = compile_shortest(&t).unwrap();
+        let fib = FibCompiler::shortest().compile(&t).unwrap();
         let r = fib.route(t.network(), NodeId(0), NodeId(8));
         r.validate(t.network(), None).unwrap();
         assert_eq!(

@@ -1,13 +1,13 @@
-//! The hierarchical digit-structured FIB layout.
+//! The compiled forwarding table: digit-structured per-server tables.
 //!
-//! The dense [`Fib`](crate::Fib) stores one packed entry per
-//! `(source, destination)` pair — `4·N²` bytes, which hits an O(V²) wall
-//! long before the million-server instances the ABCCC paper is about
-//! (10⁵ servers ⇒ 40 GB of table). But the entries are massively
-//! redundant: by the suffix property, the next hop out of a server depends
-//! only on (a) the *first* level its strategy would correct and (b) which
-//! digit the destination holds at that level — never on the full
-//! destination identity. [`HierFib`] stores exactly that factorization:
+//! A flat table with one packed entry per `(source, destination)` pair
+//! needs `4·N²` bytes — an O(V²) wall long before the million-server
+//! instances the ABCCC paper is about (10⁵ servers ⇒ 40 GB of table). But
+//! such entries are massively redundant: by the suffix property, the next
+//! hop out of a server depends only on (a) the *first* level its strategy
+//! would correct and (b) which digit the destination holds at that level
+//! — never on the full destination identity. [`HierFib`] stores exactly
+//! that factorization:
 //!
 //! * per server, the egress port toward each *owned level switch* and
 //!   toward its group crossbar (`O(V·levels)` entries);
@@ -16,11 +16,11 @@
 //! * per crossbar, the egress port toward each group position (one entry
 //!   per crossbar cable).
 //!
-//! Total: `O(V·levels + E)` 16-bit entries — megabytes where the dense
-//! layout needs tens of gigabytes. This is the one table that decides a
-//! next hop: the dense layout is its expansion to every pair
-//! ([`FibCompiler::compile`](crate::FibCompiler::compile)), and the unit
-//! tests check both against an oracle built on [`PermStrategy::order`].
+//! Total: `O(V·levels + E)` 16-bit entries — megabytes where the flat
+//! table needs tens of gigabytes. The unit tests check its ports against
+//! an oracle built on [`PermStrategy::order`], and its walks against
+//! [`DigitRouter::route_addrs`](abccc::DigitRouter::route_addrs), for
+//! every deterministic strategy.
 //!
 //! A walk decodes its endpoints once, into the destination's digits and a
 //! bitmask of the levels where the two labels differ. Each hop then picks
@@ -31,7 +31,7 @@
 //! server count), and clears that level's bit or moves to the new
 //! position. So a hop touches two `u16` cells and divides nothing; the
 //! decode's O(levels) divisions are paid once per walk. [`HierFib::ports`]
-//! answers one hop from the same decode, for the dense expansion.
+//! answers one hop from the same decode.
 //!
 //! Port tables are filled by decoding the network's actual adjacency
 //! lists (O(E) compile), not by assuming the generator's emission order —
@@ -46,9 +46,9 @@ use netgraph::{FaultMask, Network, NodeId, Route, Topology};
 /// level-switch slot of a level the server does not own).
 const NO_PORT: u16 = u16::MAX;
 
-/// A compiled forwarding table in the hierarchical digit-structured
-/// layout: same lookup contract as the dense [`Fib`](crate::Fib), at
-/// `O(V·levels + E)` memory instead of `O(V²)`.
+/// A compiled forwarding table: per-server, per-level digit sub-tables at
+/// `O(V·levels + E)` memory, immutable and shareable across any number of
+/// query threads without locks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HierFib {
     strategy: PermStrategy,
@@ -81,20 +81,11 @@ pub struct HierFib {
     level_wport: Vec<u16>,
 }
 
-/// Compiles the hierarchical table for `topo`: [`build`] plus the compile
-/// telemetry (`fib.compile_hier` span, `fib.compiles`, `fib.table_bytes`).
+/// Compiles the table for `topo` by decoding its adjacency lists — O(E)
+/// work, no per-destination sweep — under the `fib.compile` span, and
+/// records `fib.compiles` and `fib.table_bytes`.
 pub(crate) fn compile(strategy: PermStrategy, topo: &Abccc) -> Result<HierFib, FibError> {
-    let _span = dcn_telemetry::span!("fib.compile_hier");
-    let fib = build(strategy, topo)?;
-    dcn_telemetry::counter!("fib.compiles").inc();
-    dcn_telemetry::gauge!("fib.table_bytes").set(fib.bytes() as i64);
-    Ok(fib)
-}
-
-/// Builds the hierarchical table for `topo` by decoding its adjacency
-/// lists — O(E) work, no per-destination sweep. Uninstrumented, so the
-/// dense compiler can derive from it and still count as one compile.
-pub(crate) fn build(strategy: PermStrategy, topo: &Abccc) -> Result<HierFib, FibError> {
+    let _span = dcn_telemetry::span!("fib.compile");
     if let PermStrategy::Random(_) = strategy {
         return Err(FibError::UnsupportedStrategy {
             strategy: strategy.label(),
@@ -162,7 +153,7 @@ pub(crate) fn build(strategy: PermStrategy, topo: &Abccc) -> Result<HierFib, Fib
     for level in 0..p.levels() {
         owner[level as usize] = p.owner(level) as u8;
     }
-    Ok(HierFib {
+    let fib = HierFib {
         strategy,
         params: p,
         servers: servers as u32,
@@ -178,7 +169,10 @@ pub(crate) fn build(strategy: PermStrategy, topo: &Abccc) -> Result<HierFib, Fib
         level_sport,
         crossbar_wport,
         level_wport,
-    })
+    };
+    dcn_telemetry::counter!("fib.compiles").inc();
+    dcn_telemetry::gauge!("fib.table_bytes").set(fib.bytes() as i64);
+    Ok(fib)
 }
 
 impl HierFib {
@@ -211,9 +205,8 @@ impl HierFib {
             * std::mem::size_of::<u16>()
     }
 
-    /// The `(server port, switch port)` pair for a hop, or `None` on the
-    /// diagonal — bit-identical to the dense [`Fib::ports`](crate::Fib::ports)
-    /// for the same strategy.
+    /// The `(server port, switch port)` pair for the hop out of `at`
+    /// toward `toward`, or `None` on the diagonal.
     pub fn ports(&self, at: NodeId, toward: NodeId) -> Option<(u16, u16)> {
         let w = self.start(at, toward);
         let u = at.index();
@@ -353,8 +346,7 @@ impl HierFib {
     }
 
     /// Walks the table from `src` to `dst`, appending the full node
-    /// sequence to `nodes` — the hierarchical counterpart of
-    /// [`Fib::walk_into`](crate::Fib::walk_into).
+    /// sequence (servers and switches, `src` included) to `nodes`.
     ///
     /// # Panics
     ///
@@ -371,9 +363,10 @@ impl HierFib {
         Route::new(nodes)
     }
 
-    /// Walks `src → dst` under a fault mask, reporting whether every
-    /// traversed element is alive — the hierarchical counterpart of
-    /// [`Fib::walk_live_into`](crate::Fib::walk_live_into).
+    /// Walks `src → dst` under a fault mask, appending to `nodes` and
+    /// reporting whether every traversed node and link is alive — the
+    /// hot-path equivalent of `Route::validate(net, Some(mask))` for a
+    /// structurally valid table walk.
     pub fn walk_live_into(
         &self,
         net: &Network,
@@ -412,46 +405,14 @@ mod tests {
     use crate::compile::FibCompiler;
     use abccc::AbcccParams;
 
-    fn topo(n: u32, k: u32, h: u32) -> Abccc {
-        Abccc::new(AbcccParams::new(n, k, h).unwrap()).unwrap()
-    }
-
-    #[test]
-    fn rejects_random_strategy() {
-        let t = topo(2, 1, 2);
-        assert!(matches!(
-            FibCompiler::new(PermStrategy::Random(7)).compile_hier(&t),
-            Err(FibError::UnsupportedStrategy { .. })
-        ));
-    }
-
-    #[test]
-    fn hier_routes_match_dense_routes() {
-        let t = topo(2, 3, 3);
-        let net = t.network();
-        let dense = FibCompiler::shortest().compile(&t).unwrap();
-        let hier = FibCompiler::shortest().compile_hier(&t).unwrap();
-        let servers = t.params().server_count() as u32;
-        for s in 0..servers {
-            for d in 0..servers {
-                assert_eq!(
-                    hier.route(net, NodeId(s), NodeId(d)),
-                    dense.route(net, NodeId(s), NodeId(d)),
-                    "{s}->{d}"
-                );
-            }
-        }
-    }
-
     #[test]
     fn hier_is_at_least_10x_smaller_beyond_a_thousand_servers() {
-        let t = topo(4, 2, 2); // m=3, 192 servers
-        let dense = FibCompiler::shortest().compile(&t).unwrap();
-        let hier = FibCompiler::shortest().compile_hier(&t).unwrap();
+        let t = Abccc::new(AbcccParams::new(4, 2, 2).unwrap()).unwrap(); // m=3, 192 servers
+        let hier = FibCompiler::shortest().compile(&t).unwrap();
+        let all_pairs = 4 * t.params().server_count() as usize * t.params().server_count() as usize;
         assert!(
-            dense.bytes() >= 10 * hier.bytes(),
-            "dense {} vs hier {}",
-            dense.bytes(),
+            all_pairs >= 10 * hier.bytes(),
+            "all-pairs {all_pairs} vs hier {}",
             hier.bytes()
         );
     }

@@ -12,16 +12,11 @@
 //!   digit-correction strategies (see the module docs of the compiler);
 //!   the seeded `Random` strategy lacks it and is rejected at compile
 //!   time.
-//! * [`HierFib`] is the compiled artifact in the **hierarchical
-//!   digit-structured** layout, and the default: per-level sub-tables
-//!   keyed by address digits at `O(N·levels + E)` bytes, compiled in
-//!   O(E). It is the one table that decides a next hop, and the layout
-//!   that breaks the O(V²) wall for 10⁵+-server instances. [`Fib`] is
-//!   the **dense** layout, that table expanded to one packed `u32` per
-//!   `(source, destination)` pair on the calling thread: O(1) per-hop
-//!   lookups at `4·N²` bytes and an O(N²) compile. Both are immutable
-//!   and safely shareable across threads. [`FibTable`] holds either;
-//!   [`FibLayout`] names the choice.
+//! * [`HierFib`] is the compiled artifact: per-level sub-tables keyed by
+//!   address digits at `O(N·levels + E)` bytes, compiled in O(E) — where
+//!   a table with one entry per `(source, destination)` pair would need
+//!   `4·N²` bytes, an O(V²) wall at 10⁵+ servers. It is immutable and
+//!   safely shareable across threads.
 //! * [`RouteService`] is the query front end: single and batched
 //!   src→dst lookups, a lock-free healthy hot path, and per-shard patch
 //!   caches that memoize [`ResilientRouter`](abccc::ResilientRouter)
@@ -56,9 +51,7 @@
 mod compile;
 mod hier;
 mod service;
-mod table;
 
-pub use compile::{compile_shortest, compile_shortest_hier, Fib, FibCompiler, FibError};
+pub use compile::{FibCompiler, FibError};
 pub use hier::HierFib;
 pub use service::{InvalidationReport, Lookup, RouteService};
-pub use table::{FibLayout, FibTable};

@@ -1,11 +1,10 @@
 //! The concurrent route-query service.
 //!
-//! [`RouteService`] answers src→dst queries from a compiled [`FibTable`]
-//! (the hierarchical layout unless the caller picks dense) on whichever
-//! thread asks. The healthy hot path is lock-free: a walk over immutable
-//! tables, nothing shared but reads. Under an installed fault mask the
-//! walk additionally checks liveness per hop; only when the compiled
-//! route is actually broken does the query fall back to a full
+//! [`RouteService`] answers src→dst queries from a compiled [`HierFib`]
+//! on whichever thread asks. The healthy hot path is lock-free: a walk
+//! over immutable tables, nothing shared but reads. Under an installed
+//! fault mask the walk additionally checks liveness per hop; only when the
+//! compiled route is actually broken does the query fall back to a full
 //! [`ResilientRouter`] recomputation, whose outcome is memoized in a
 //! per-shard patch cache so each broken pair pays the escalation ladder
 //! once.
@@ -39,8 +38,8 @@
 //! can only stay that way. Any *repair* (non-superset mask) clears all
 //! patches — cheap, because the compiled table itself never recompiles.
 
-use crate::compile::FibError;
-use crate::table::{FibLayout, FibTable};
+use crate::compile::{FibCompiler, FibError};
+use crate::hier::HierFib;
 use abccc::router::{check_endpoints, pair_seed};
 use abccc::vlb::route_two_stage_with;
 use abccc::{Abccc, PermStrategy, ResilientRouter, RetryBudget, RouteOutcome, ServerAddr};
@@ -97,23 +96,21 @@ impl Shard {
     }
 }
 
-/// A concurrently-queryable forwarding plane over a compiled [`FibTable`],
+/// A concurrently-queryable forwarding plane over a compiled [`HierFib`],
 /// with its patch cache split into shards (see the module docs for the
 /// equivalence and invalidation contracts).
 #[derive(Debug)]
 pub struct RouteService {
     topo: Abccc,
-    table: FibTable,
+    table: HierFib,
     budget: RetryBudget,
     mask: Option<FaultMask>,
     shards: Vec<Shard>,
 }
 
 impl RouteService {
-    /// Builds a service over an already-compiled table in either layout.
-    /// Every contract (equivalence, invalidation, batch ordering) is
-    /// layout-independent: both layouts answer lookups bit-identically.
-    /// `shards` is rounded up to a power of two and clamped to `[1, 1024]`.
+    /// Builds a service over an already-compiled table. `shards` is
+    /// rounded up to a power of two and clamped to `[1, 1024]`.
     ///
     /// # Errors
     ///
@@ -121,7 +118,7 @@ impl RouteService {
     ///   destination-aware (see the equivalence contract);
     /// * [`FibError::TopologyMismatch`] — the table was compiled for other
     ///   parameters than `topo`'s.
-    pub fn with_table(topo: Abccc, table: FibTable, shards: usize) -> Result<Self, FibError> {
+    pub fn with_table(topo: Abccc, table: HierFib, shards: usize) -> Result<Self, FibError> {
         if table.strategy() != PermStrategy::DestinationAware {
             return Err(FibError::ServiceRequiresShortest {
                 strategy: table.strategy().label(),
@@ -143,32 +140,16 @@ impl RouteService {
         })
     }
 
-    /// Compiles the destination-aware table for `topo` in the hierarchical
-    /// layout and wraps it in a service — the one-call entry point. The
-    /// compile is O(E), so a service starts in milliseconds at any size.
+    /// Compiles the destination-aware table for `topo` and wraps it in a
+    /// service — the one-call entry point. The compile is O(E), so a
+    /// service starts in milliseconds at any size.
     ///
     /// # Errors
     ///
-    /// Propagates [`FibCompiler::compile_hier`](crate::FibCompiler::compile_hier)
-    /// and [`RouteService::with_table`] failures.
+    /// Propagates [`FibCompiler::compile`] and [`RouteService::with_table`]
+    /// failures.
     pub fn compile(topo: Abccc, shards: usize) -> Result<Self, FibError> {
-        RouteService::compile_with_layout(topo, FibLayout::Hier, shards)
-    }
-
-    /// Compiles the destination-aware table for `topo` in the requested
-    /// layout and wraps it in a service. [`FibLayout::Dense`] costs an
-    /// O(N²) compile and `4·N²` bytes; at 10⁵+ servers only
-    /// [`FibLayout::Hier`] is practical.
-    ///
-    /// # Errors
-    ///
-    /// Propagates compile and [`RouteService::with_table`] failures.
-    pub fn compile_with_layout(
-        topo: Abccc,
-        layout: FibLayout,
-        shards: usize,
-    ) -> Result<Self, FibError> {
-        let table = FibTable::compile(PermStrategy::DestinationAware, layout, &topo)?;
+        let table = FibCompiler::shortest().compile(&topo)?;
         RouteService::with_table(topo, table, shards)
     }
 
@@ -188,7 +169,7 @@ impl RouteService {
     }
 
     /// The compiled table the service answers from.
-    pub fn table(&self) -> &FibTable {
+    pub fn table(&self) -> &HierFib {
         &self.table
     }
 
@@ -231,7 +212,7 @@ impl RouteService {
     /// [`RouteError::Unreachable`], or [`RouteError::GaveUp`] when the
     /// budget disables the BFS fallback.
     pub fn query(&self, src: NodeId, dst: NodeId) -> Result<RouteOutcome, RouteError> {
-        let mut nodes = Vec::with_capacity(self.table.max_nodes());
+        let mut nodes = Vec::with_capacity(self.table.max_nodes() as usize);
         match self.lookup_into(src, dst, &mut nodes) {
             // Callers may keep many routes (a batch holds every answer), so
             // the route gets an allocation of exactly its length.
@@ -426,15 +407,16 @@ mod tests {
     #[test]
     fn rejects_non_shortest_tables_and_size_mismatches() {
         let topo = Abccc::new(AbcccParams::new(2, 2, 2).unwrap()).unwrap();
-        let ascending = FibTable::compile(PermStrategy::Ascending, FibLayout::Hier, &topo).unwrap();
+        let ascending = FibCompiler::new(PermStrategy::Ascending)
+            .compile(&topo)
+            .unwrap();
         assert!(matches!(
             RouteService::with_table(topo.clone(), ascending, 4),
             Err(FibError::ServiceRequiresShortest { .. })
         ));
 
         let small = Abccc::new(AbcccParams::new(3, 1, 2).unwrap()).unwrap();
-        let small_fib =
-            FibTable::compile(PermStrategy::DestinationAware, FibLayout::Dense, &small).unwrap();
+        let small_fib = FibCompiler::shortest().compile(&small).unwrap();
         assert!(matches!(
             RouteService::with_table(topo, small_fib, 4),
             Err(FibError::TopologyMismatch { .. })
@@ -448,27 +430,18 @@ mod tests {
         let a = Abccc::new(AbcccParams::new(2, 3, 3).unwrap()).unwrap();
         let b = Abccc::new(AbcccParams::new(4, 1, 2).unwrap()).unwrap();
         assert_eq!(a.params().server_count(), b.params().server_count());
-        for layout in [FibLayout::Dense, FibLayout::Hier] {
-            for (table_topo, served) in [(&a, &b), (&b, &a)] {
-                let table =
-                    FibTable::compile(PermStrategy::DestinationAware, layout, table_topo).unwrap();
-                let err = RouteService::with_table(served.clone(), table, 4).unwrap_err();
-                assert_eq!(
-                    err,
-                    FibError::TopologyMismatch {
-                        table: *table_topo.params(),
-                        topo: *served.params(),
-                    },
-                    "{layout}"
-                );
-                assert!(err.to_string().contains(&table_topo.params().to_string()));
-            }
+        for (table_topo, served) in [(&a, &b), (&b, &a)] {
+            let table = FibCompiler::shortest().compile(table_topo).unwrap();
+            let err = RouteService::with_table(served.clone(), table, 4).unwrap_err();
+            assert_eq!(
+                err,
+                FibError::TopologyMismatch {
+                    table: *table_topo.params(),
+                    topo: *served.params(),
+                }
+            );
+            assert!(err.to_string().contains(&table_topo.params().to_string()));
         }
-    }
-
-    #[test]
-    fn compile_serves_the_hier_layout() {
-        assert_eq!(service(2, 2, 2, 1).table().layout(), FibLayout::Hier);
     }
 
     /// `patch_count` read by locking every shard, the way it used to be.
@@ -542,11 +515,11 @@ mod tests {
     fn rejects_switch_and_dead_endpoints_like_routers_do() {
         let mut svc = service(2, 2, 2, 2);
         let servers = svc.topo().params().server_count() as u32;
-        let sw = NodeId(servers);
-        assert!(matches!(
-            svc.query(sw, NodeId(0)),
-            Err(RouteError::NotAServer(_))
-        ));
+        // A switch, and an id past the last node.
+        for bad in [NodeId(servers), NodeId(u32::MAX)] {
+            assert_eq!(svc.query(bad, NodeId(0)), Err(RouteError::NotAServer(bad)));
+            assert_eq!(svc.query(NodeId(0), bad), Err(RouteError::NotAServer(bad)));
+        }
         svc.apply_scenario(&FaultScenario::seeded(0).fail_nodes([NodeId(3)]));
         assert!(matches!(
             svc.query(NodeId(3), NodeId(0)),

@@ -3,7 +3,7 @@
 //! any shard count — and incremental invalidation never changes an answer.
 
 use abccc::{Abccc, AbcccParams, DigitRouter, ResilientRouter, RetryBudget, Router, VlbRouter};
-use dcn_fib::{FibLayout, RouteService};
+use dcn_fib::RouteService;
 use netgraph::{FaultScenario, NodeId, RouteError, Topology};
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -151,14 +151,19 @@ proptest! {
 
     /// Incremental invalidation: a service that accumulates faults
     /// mask-by-mask (warming patch caches along the way) answers exactly
-    /// like a fresh service built directly on the final mask.
+    /// like a fresh service built directly on the final mask, and after
+    /// every step its VLB answers still match `VlbRouter::new(vlb_seed)`
+    /// under that step's mask.
     #[test]
     fn accumulated_masks_match_a_fresh_service(
+        which in 0usize..GRIDS.len(),
         scen_seed in 0u64..300,
+        vlb_seed in 0u64..1000,
         pair_seed in any::<u64>(),
         count in 1usize..25,
     ) {
-        let t = topo(3, 2, 2);
+        let (n, k, h) = GRIDS[which];
+        let t = topo(n, k, h);
         let pairs = sample_pairs(t.params().server_count(), pair_seed, count);
 
         // Three nested masks: each extends the previous failure set.
@@ -176,13 +181,21 @@ proptest! {
         prop_assert!(masks[1].covers(&masks[0]));
         prop_assert!(masks[2].covers(&masks[1]));
 
-        let mut grown = RouteService::compile(topo(3, 2, 2), 4).expect("service");
+        let vlb = VlbRouter::new(vlb_seed);
+        let mut grown = RouteService::compile(topo(n, k, h), 4).expect("service");
         for m in &masks {
             let report = grown.apply_mask(m.clone());
             prop_assert!(report.incremental, "superset masks must patch incrementally");
             grown.query_batch(&pairs); // warm the patch caches between steps
+            for &(s, d) in &pairs {
+                prop_assert_eq!(
+                    grown.query_vlb(vlb_seed, s, d),
+                    vlb.route(&t, s, d, Some(m)),
+                    "vlb pair {} -> {}", s, d
+                );
+            }
         }
-        let mut fresh = RouteService::compile(topo(3, 2, 2), 4).expect("service");
+        let mut fresh = RouteService::compile(topo(n, k, h), 4).expect("service");
         fresh.apply_mask(masks[2].clone());
         prop_assert_eq!(grown.query_batch(&pairs), fresh.query_batch(&pairs));
 
@@ -190,67 +203,9 @@ proptest! {
         // still answers like a fresh service on that mask.
         let report = grown.apply_mask(masks[0].clone());
         prop_assert!(!report.incremental || masks[0].covers(&masks[2]));
-        let mut fresh0 = RouteService::compile(topo(3, 2, 2), 4).expect("service");
+        let mut fresh0 = RouteService::compile(topo(n, k, h), 4).expect("service");
         fresh0.apply_mask(masks[0].clone());
         prop_assert_eq!(grown.query_batch(&pairs), fresh0.query_batch(&pairs));
-    }
-
-    /// Layout is invisible: a hierarchical-layout service accumulates the
-    /// same fault-mask chain as a dense-layout one and answers every query
-    /// — healthy, faulted, batched, VLB — bit-identically, at any shard
-    /// count (the two services may even shard differently).
-    #[test]
-    fn hier_layout_matches_dense_under_accumulated_masks(
-        which in 0usize..GRIDS.len(),
-        dense_shards in 1usize..5,
-        hier_shards in 1usize..5,
-        scen_seed in 0u64..300,
-        vlb_seed in 0u64..1000,
-        pair_seed in any::<u64>(),
-        count in 1usize..25,
-    ) {
-        let (n, k, h) = GRIDS[which];
-        let t = topo(n, k, h);
-        let pairs = sample_pairs(t.params().server_count(), pair_seed, count);
-
-        let mut dense =
-            RouteService::compile_with_layout(topo(n, k, h), FibLayout::Dense, dense_shards)
-                .expect("dense service");
-        let mut hier =
-            RouteService::compile_with_layout(topo(n, k, h), FibLayout::Hier, hier_shards)
-                .expect("hier service");
-        prop_assert_eq!(dense.table().layout(), FibLayout::Dense);
-        prop_assert_eq!(hier.table().layout(), FibLayout::Hier);
-        prop_assert!(dense.table().bytes() > hier.table().bytes());
-
-        // Healthy plane first.
-        prop_assert_eq!(dense.query_batch(&pairs), hier.query_batch(&pairs));
-
-        // Then a nested chain of masks, warming patch caches between steps.
-        let scenarios = [
-            FaultScenario::seeded(scen_seed).fail_servers_frac(0.05),
-            FaultScenario::seeded(scen_seed)
-                .fail_servers_frac(0.05)
-                .fail_switches_frac(0.08),
-            FaultScenario::seeded(scen_seed)
-                .fail_servers_frac(0.05)
-                .fail_switches_frac(0.08)
-                .fail_links_frac(0.06),
-        ];
-        for scenario in &scenarios {
-            let m = scenario.build(t.network());
-            let rd = dense.apply_mask(m.clone());
-            let rh = hier.apply_mask(m);
-            prop_assert_eq!(rd.incremental, rh.incremental);
-            prop_assert_eq!(dense.query_batch(&pairs), hier.query_batch(&pairs));
-            for &(s, d) in &pairs {
-                prop_assert_eq!(
-                    dense.query_vlb(vlb_seed, s, d),
-                    hier.query_vlb(vlb_seed, s, d),
-                    "vlb pair {} -> {}", s, d
-                );
-            }
-        }
     }
 }
 

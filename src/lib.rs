@@ -45,7 +45,7 @@ pub mod prelude {
         BCube, BCubeParams, Bccc, BcccParams, DCell, DCellParams, FatTree, FatTreeParams,
         Hypercube, HypercubeParams,
     };
-    pub use dcn_fib::{Fib, FibCompiler, RouteService};
+    pub use dcn_fib::{FibCompiler, HierFib, RouteService};
     pub use dcn_metrics::{CostModel, TopologyStats};
     pub use dcn_sim::{
         Fidelity, FlowSim, FlowSpec, PacketSim, PacketSimConfig, Scenario, ScenarioFlow,
