@@ -820,15 +820,20 @@ mod tests {
 
     #[test]
     fn timer_records_only_while_enabled() {
+        // Held throughout: a sibling test that switches telemetry on while
+        // the "disabled" timer runs would make it record.
+        let _lock = crate::test_guard();
         let h = crate::registry().histogram("t.timer");
         let before = h.count();
         {
             let _t = h.start_timer(); // disabled: holds no clock
         }
         assert_eq!(h.count(), before);
-        with_enabled(|| {
+        crate::set_enabled(true);
+        {
             let _t = h.start_timer();
-        });
+        }
+        crate::set_enabled(false);
         assert_eq!(h.count(), before + 1);
     }
 

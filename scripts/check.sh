@@ -21,8 +21,8 @@ cargo test --workspace -q --offline
 echo "== telemetry noop build (feature-gated compile-out)"
 cargo check -q -p abccc-suite --features telemetry-noop --offline
 
-echo "== telemetry disabled-path overhead contract (smoke)"
-ABCCC_SMOKE=1 cargo bench -q -p abccc-bench --bench telemetry_overhead --offline
+echo "== telemetry disabled-path overhead contract"
+cargo bench -q -p abccc-bench --bench telemetry_overhead --offline
 
 echo "== resilience smoke campaign (determinism + nonzero completion)"
 cargo build -q -p abccc-cli --offline
