@@ -3,9 +3,9 @@
 //! Every table/figure of the evaluation is an [`Experiment`]: a name, a
 //! paper reference, a parameter grid per scale [`Preset`], and a point
 //! function returning serializable [`Row`]s. The registry is the single
-//! index over them — `abccc-cli experiments list|run` and the 20
-//! `fig*`/`table*` shim binaries all resolve specs here and hand them to
-//! the shared [`engine`](crate::engine).
+//! index over them — `abccc-cli experiments list|run` and
+//! `abccc-cli perf record|diff` resolve specs here and hand them to the
+//! shared [`engine`](crate::engine).
 //!
 //! Determinism contract: a point's randomness comes only from
 //! [`PointCtx::seed`], derived from the experiment's base seed and the

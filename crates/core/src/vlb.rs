@@ -8,12 +8,12 @@
 //! permutation spreads like uniform random traffic (experiment F17).
 //!
 //! [`VlbRouter`] is the [`Router`] face of the scheme: it derives a
-//! per-pair RNG from its seed (see [`pair_seed`](crate::router::pair_seed)
-//! mixing), so the same router value always picks the same intermediate
-//! for a pair regardless of call order — the determinism the campaign
-//! engine relies on. [`route_two_stage_with`] exposes the scheme with a
-//! pluggable stage router so alternative data planes (e.g. compiled
-//! forwarding tables) reproduce it exactly.
+//! per-pair RNG from its seed (see [`pair_seed`] mixing), so the same
+//! router value always picks the same intermediate for a pair regardless
+//! of call order — the determinism the campaign engine relies on.
+//! [`route_two_stage_with`] exposes the scheme with a pluggable stage
+//! router so alternative data planes (e.g. compiled forwarding tables)
+//! reproduce it exactly.
 
 use crate::router::{check_endpoints, pair_seed, RouteOutcome, RouteTier, Router};
 use crate::routing::DigitRouter;
@@ -82,10 +82,10 @@ fn route_two_stage(
 ///
 /// The router owns a seed; each pair's intermediate is drawn from a fresh
 /// stream mixed from `(seed, src, dst)`, so routes are deterministic and
-/// independent of call order. Like
-/// [`DigitRouter`](crate::routing::DigitRouter) it is *fault-oblivious* —
-/// under a mask the produced route is validated and rejected with
-/// [`RouteError::GaveUp`] rather than detoured around failures.
+/// independent of call order. Like [`DigitRouter`] it is
+/// *fault-oblivious* — under a mask the produced route is validated and
+/// rejected with [`RouteError::GaveUp`] rather than detoured around
+/// failures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VlbRouter {
     seed: u64,

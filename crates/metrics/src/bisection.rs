@@ -7,15 +7,10 @@
 //! *upper bound* on the true bisection — if a probe ever beat the
 //! canonical cut the formula would be refuted).
 
-use netgraph::{Network, NodeId, Topology};
+use netgraph::maxflow::bisection_width;
+use netgraph::{Network, NodeId};
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
-
-/// Exact min-cut (links) between the two halves of the canonical
-/// bipartition `side` (`side[server.index()]` = in part A).
-pub fn exact_bisection(net: &Network, side: &[bool]) -> u64 {
-    netgraph::maxflow::bisection_width(net, side)
-}
 
 /// Exact min-cut for the "first half by server id" bipartition — the
 /// canonical cut for every family in this repository (all builders order
@@ -23,7 +18,7 @@ pub fn exact_bisection(net: &Network, side: &[bool]) -> u64 {
 pub fn exact_bisection_by_id(net: &Network) -> u64 {
     let n = net.server_count();
     let side: Vec<bool> = (0..net.node_count()).map(|i| i < n / 2).collect();
-    exact_bisection(net, &side)
+    bisection_width(net, &side)
 }
 
 /// Result of random balanced-bipartition probing.
@@ -60,7 +55,7 @@ pub fn random_balanced_probe(
         for s in &shuffled[..servers.len() / 2] {
             side[s.index()] = true;
         }
-        let cut = exact_bisection(net, &side);
+        let cut = bisection_width(net, &side);
         min_cut = min_cut.min(cut);
         sum += cut;
     }
@@ -71,16 +66,12 @@ pub fn random_balanced_probe(
     }
 }
 
-/// Convenience: canonical-cut bisection of a topology.
-pub fn bisection_of<T: Topology + ?Sized>(topo: &T) -> u64 {
-    exact_bisection_by_id(topo.network())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use abccc::{Abccc, AbcccParams};
     use dcn_baselines::prelude::{BCube, BCubeParams, FatTree, FatTreeParams};
+    use netgraph::Topology;
     use rand::SeedableRng;
 
     #[test]

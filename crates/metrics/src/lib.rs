@@ -13,6 +13,9 @@
 //! * [`bounds`] — theoretical throughput ceilings the simulators must
 //!   respect (asserted in tests).
 //!
+//! Sampled estimators for instances too large for exact all-pairs sweeps
+//! live in [`netgraph::sample`].
+//!
 //! ```
 //! use abccc::{Abccc, AbcccParams};
 //! use dcn_metrics::{CostModel, TopologyStats};
@@ -37,7 +40,6 @@ pub mod design;
 pub mod expansion;
 pub mod load;
 mod properties;
-pub mod sampling;
 
 pub use cost::{Capex, CostModel};
 pub use expansion::ExpansionLedger;

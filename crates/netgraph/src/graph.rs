@@ -266,7 +266,7 @@ impl LinkStore {
 /// physical topology stays, elements merely stop forwarding).
 ///
 /// The link list is the source of truth; adjacency lives in a lazily built
-/// [`Csr`] that mutations invalidate. Traversal code therefore sees one
+/// CSR array that mutations invalidate. Traversal code therefore sees one
 /// flat cache-friendly array instead of per-node heap vectors.
 #[derive(Debug, Clone, Default)]
 pub struct Network {

@@ -317,7 +317,7 @@ mod tests {
     }
 
     #[test]
-    fn bisection_of_a_star_is_half() {
+    fn star_bisection_width_is_half() {
         let mut net = Network::new();
         let servers: Vec<_> = (0..6).map(|_| net.add_server()).collect();
         let sw = net.add_switch();

@@ -41,8 +41,9 @@
 //! ```
 
 use crate::{FaultMask, LinkId, Network, NodeId};
+use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// One recorded builder step, applied in insertion order by
 /// [`FaultScenario::build`].
@@ -65,10 +66,9 @@ enum ScenarioOp {
 /// Declarative, seedable recipe for a [`FaultMask`].
 ///
 /// Build a chain of failure operations, then materialize it against a
-/// concrete [`Network`] with [`FaultScenario::build`] (fresh RNG from the
-/// recorded seed — deterministic) or [`FaultScenario::build_with`] (an
-/// external RNG stream, for callers that interleave sampling with other
-/// draws).
+/// concrete [`Network`] with [`FaultScenario::build`], which draws from a
+/// fresh RNG seeded from the recorded seed, so a mask is a function of the
+/// chain, the seed and the network alone.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultScenario {
     seed: u64,
@@ -147,37 +147,26 @@ impl FaultScenario {
     /// explicit node/link id is out of range for `net` (including a
     /// non-switch id passed to [`FaultScenario::fail_switch_group`]).
     pub fn build(&self, net: &Network) -> FaultMask {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(self.seed);
-        self.build_with(net, &mut rng)
-    }
-
-    /// Like [`FaultScenario::build`], but drawing from the caller's RNG
-    /// stream (the recorded seed is ignored).
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`FaultScenario::build`].
-    pub fn build_with(&self, net: &Network, rng: &mut impl Rng) -> FaultMask {
+        let mut rng = StdRng::seed_from_u64(self.seed);
         let mut mask = FaultMask::new(net);
         for op in &self.ops {
             match op {
                 ScenarioOp::ServersFrac(f) => {
                     let pop: Vec<NodeId> = net.server_ids().collect();
-                    fail_fraction(&mut mask, &pop, *f, "server fraction", rng);
+                    for &n in choose_fraction(&pop, *f, "server fraction", &mut rng) {
+                        mask.fail_node(n);
+                    }
                 }
                 ScenarioOp::SwitchesFrac(f) => {
                     let pop: Vec<NodeId> = net.switch_ids().collect();
-                    fail_fraction(&mut mask, &pop, *f, "switch fraction", rng);
+                    for &n in choose_fraction(&pop, *f, "switch fraction", &mut rng) {
+                        mask.fail_node(n);
+                    }
                 }
                 ScenarioOp::LinksFrac(f) => {
-                    assert!(
-                        (0.0..=1.0).contains(f),
-                        "link fraction must be in [0,1], got {f}"
-                    );
-                    let pop: Vec<u32> = (0..net.link_count() as u32).collect();
-                    let kill = (*f * pop.len() as f64).round() as usize;
-                    for l in pop.choose_multiple(rng, kill) {
-                        mask.fail_link(LinkId(*l));
+                    let pop: Vec<LinkId> = (0..net.link_count() as u32).map(LinkId).collect();
+                    for &l in choose_fraction(&pop, *f, "link fraction", &mut rng) {
+                        mask.fail_link(l);
                     }
                 }
                 ScenarioOp::Nodes(nodes) => {
@@ -210,16 +199,20 @@ impl FaultScenario {
     }
 }
 
-/// Fails `round(frac · population)` members of `pop`, uniformly.
-fn fail_fraction(mask: &mut FaultMask, pop: &[NodeId], frac: f64, what: &str, rng: &mut impl Rng) {
+/// `round(frac · pop.len())` members of `pop`, chosen uniformly. The
+/// choice depends only on the population's length and the RNG stream.
+fn choose_fraction<'p, T>(
+    pop: &'p [T],
+    frac: f64,
+    what: &str,
+    rng: &mut StdRng,
+) -> impl Iterator<Item = &'p T> {
     assert!(
         (0.0..=1.0).contains(&frac),
         "{what} must be in [0,1], got {frac}"
     );
     let kill = (frac * pop.len() as f64).round() as usize;
-    for n in pop.choose_multiple(rng, kill) {
-        mask.fail_node(*n);
-    }
+    pop.choose_multiple(rng, kill)
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! share one rate model.
 
 use crate::{max_min_allocation, DirectedLink};
-use netgraph::{FaultMask, NodeId, RouteError, Topology};
+use netgraph::{NodeId, RouteError, Topology};
 use serde::{Deserialize, Serialize};
 
 /// Flow-level simulator bound to one topology.
@@ -31,15 +31,20 @@ impl<'a, T: Topology + ?Sized> FlowSim<'a, T> {
     /// Propagates the first routing failure (fault-free networks never
     /// fail to route).
     pub fn run(&self, pairs: &[(NodeId, NodeId)]) -> Result<FlowSimReport, RouteError> {
-        self.run_inner(pairs, None)
-    }
-
-    /// Like [`FlowSim::run`], but under a failure mask: unroutable pairs are
-    /// *dropped* (counted in the report) instead of failing the run, and
-    /// surviving flows use the family's fault-tolerant routing.
-    pub fn run_with_mask(&self, pairs: &[(NodeId, NodeId)], mask: &FaultMask) -> FlowSimReport {
-        self.run_inner(pairs, Some(mask))
-            .expect("masked run never propagates routing errors")
+        let _span = dcn_telemetry::span!("flowsim.run");
+        let _run_timer = dcn_telemetry::histogram!("flowsim.run_ns").start_timer();
+        dcn_telemetry::counter!("flowsim.runs").inc();
+        let net = self.topo.network();
+        let mut flows: Vec<Vec<DirectedLink>> = Vec::with_capacity(pairs.len());
+        let mut hops = Vec::with_capacity(pairs.len());
+        for &(s, d) in pairs {
+            let route = self.topo.route(s, d)?;
+            hops.push(route.server_hops(net) as f64);
+            flows.push(DirectedLink::of_route(net, &route));
+        }
+        dcn_telemetry::counter!("flowsim.flows_routed").add(flows.len() as u64);
+        let rates = max_min_allocation(net, &flows);
+        Ok(self.report(rates, &hops))
     }
 
     /// Multipath variant: every pair is split across up to `paths` of the
@@ -81,11 +86,17 @@ impl<'a, T: Topology + ?Sized> FlowSim<'a, T> {
                 rates[o] = f64::INFINITY;
             }
         }
+        Ok(self.report(rates, &hops))
+    }
+
+    /// Summarizes per-pair `rates` (∞ for a self-pair) and the server hops
+    /// of each routed pair.
+    fn report(&self, rates: Vec<f64>, hops: &[f64]) -> FlowSimReport {
         let finite: Vec<f64> = rates.iter().copied().filter(|r| r.is_finite()).collect();
         let aggregate = finite.iter().sum::<f64>();
         let min_rate = finite.iter().copied().fold(f64::INFINITY, f64::min);
         let flows_n = finite.len();
-        Ok(FlowSimReport {
+        FlowSimReport {
             topology: self.topo.name(),
             flows: flows_n,
             unroutable: 0,
@@ -107,66 +118,7 @@ impl<'a, T: Topology + ?Sized> FlowSim<'a, T> {
                 hops.iter().sum::<f64>() / hops.len() as f64
             },
             rates,
-        })
-    }
-
-    fn run_inner(
-        &self,
-        pairs: &[(NodeId, NodeId)],
-        mask: Option<&FaultMask>,
-    ) -> Result<FlowSimReport, RouteError> {
-        let _span = dcn_telemetry::span!("flowsim.run");
-        let _run_timer = dcn_telemetry::histogram!("flowsim.run_ns").start_timer();
-        dcn_telemetry::counter!("flowsim.runs").inc();
-        let net = self.topo.network();
-        let mut flows: Vec<Vec<DirectedLink>> = Vec::with_capacity(pairs.len());
-        let mut hops = Vec::with_capacity(pairs.len());
-        let mut unroutable = 0usize;
-        for &(s, d) in pairs {
-            let route = match mask {
-                None => self.topo.route(s, d)?,
-                Some(m) => match self.topo.route_avoiding(s, d, m) {
-                    Ok(r) => r,
-                    Err(RouteError::NotAServer(n)) => return Err(RouteError::NotAServer(n)),
-                    Err(_) => {
-                        unroutable += 1;
-                        continue;
-                    }
-                },
-            };
-            hops.push(route.server_hops(net) as f64);
-            flows.push(DirectedLink::of_route(net, &route));
         }
-        dcn_telemetry::counter!("flowsim.flows_routed").add(flows.len() as u64);
-        dcn_telemetry::counter!("flowsim.flows_unroutable").add(unroutable as u64);
-        let rates = max_min_allocation(net, &flows);
-        let finite: Vec<f64> = rates.iter().copied().filter(|r| r.is_finite()).collect();
-        let aggregate = finite.iter().sum::<f64>();
-        let min_rate = finite.iter().copied().fold(f64::INFINITY, f64::min);
-        let flows_n = finite.len();
-        Ok(FlowSimReport {
-            topology: self.topo.name(),
-            flows: flows_n,
-            unroutable,
-            aggregate_rate: aggregate,
-            min_rate: if flows_n == 0 { 0.0 } else { min_rate },
-            mean_rate: if flows_n == 0 {
-                0.0
-            } else {
-                aggregate / flows_n as f64
-            },
-            abt: if flows_n == 0 {
-                0.0
-            } else {
-                min_rate * flows_n as f64
-            },
-            mean_hops: if hops.is_empty() {
-                0.0
-            } else {
-                hops.iter().sum::<f64>() / hops.len() as f64
-            },
-            rates,
-        })
     }
 }
 
@@ -175,9 +127,11 @@ impl<'a, T: Topology + ?Sized> FlowSim<'a, T> {
 pub struct FlowSimReport {
     /// Topology name.
     pub topology: String,
-    /// Flows that were routed (excludes unroutable and self-pairs).
+    /// Flows that were routed (excludes self-pairs).
     pub flows: usize,
-    /// Pairs dropped because no surviving path existed.
+    /// Pairs dropped for want of a route. Always 0: a pair that cannot be
+    /// routed fails the run instead. Kept so the report's JSON (the output
+    /// of `simulate --json` and `trace --json`) keeps its fields.
     pub unroutable: usize,
     /// Σ rates (network throughput, link-capacity units).
     pub aggregate_rate: f64,
@@ -246,20 +200,6 @@ mod tests {
         let pairs = [(NodeId(0), NodeId(0)), (NodeId(0), NodeId(1))];
         let report = FlowSim::new(&t).run(&pairs).unwrap();
         assert!(report.rates[0].is_infinite());
-        assert_eq!(report.flows, 1);
-    }
-
-    #[test]
-    fn masked_run_counts_unroutable() {
-        let t = topo();
-        // Isolate server 1.
-        let cut = t.network().neighbors(NodeId(1)).iter().map(|&(_, l)| l);
-        let mask = netgraph::FaultScenario::seeded(0)
-            .fail_links(cut)
-            .build(t.network());
-        let pairs = [(NodeId(0), NodeId(1)), (NodeId(0), NodeId(2))];
-        let report = FlowSim::new(&t).run_with_mask(&pairs, &mask);
-        assert_eq!(report.unroutable, 1);
         assert_eq!(report.flows, 1);
     }
 

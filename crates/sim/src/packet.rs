@@ -604,7 +604,7 @@ pub(crate) fn run_packet(
 }
 
 /// Discrete-event packet simulator bound to one topology (the historical
-/// `packetsim` API, now a thin veneer over [`run_packet`]).
+/// `packetsim` API, now a thin veneer over the engine's packet loop).
 #[derive(Debug, Clone, Copy)]
 pub struct PacketSim<'a, T: Topology + ?Sized> {
     topo: &'a T,

@@ -44,7 +44,6 @@ fn allocations_never_oversubscribe_a_link() {
     let flows = permutation_flows(&t, 0xA110C);
 
     dcn_telemetry::set_enabled(true);
-    let live = dcn_telemetry::enabled(); // false when built with `noop`
     let rates = max_min_allocation(net, &flows);
     dcn_telemetry::set_enabled(false);
 
@@ -71,19 +70,17 @@ fn allocations_never_oversubscribe_a_link() {
     }
     // The allocator's own residual gauge must agree with the external
     // recomputation (it tracks the worst oversubscription it ever saw).
-    if live {
-        let residual = dcn_telemetry::registry()
-            .float_gauge("flowsim.maxmin.residual")
-            .get();
-        assert!(
-            residual <= 1e-6,
-            "allocator reported residual {residual} but claims feasibility"
-        );
-        assert!(
-            worst <= residual + 1e-6,
-            "gauge under-reports: {worst} vs {residual}"
-        );
-    }
+    let residual = dcn_telemetry::registry()
+        .float_gauge("flowsim.maxmin.residual")
+        .get();
+    assert!(
+        residual <= 1e-6,
+        "allocator reported residual {residual} but claims feasibility"
+    );
+    assert!(
+        worst <= residual + 1e-6,
+        "gauge under-reports: {worst} vs {residual}"
+    );
 }
 
 /// Every max-min call runs at least one progressive-filling round, and
@@ -101,32 +98,29 @@ fn round_counters_are_consistent() {
     let hist_before = reg.histogram("flowsim.maxmin.rounds_per_call").count();
 
     dcn_telemetry::set_enabled(true);
-    let live = dcn_telemetry::enabled();
     let calls = 3u64;
     for _ in 0..calls {
         let _ = max_min_allocation(net, &flows);
     }
     dcn_telemetry::set_enabled(false);
 
-    if live {
-        assert_eq!(
-            reg.counter("flowsim.maxmin.calls").get() - calls_before,
-            calls
-        );
-        assert_eq!(
-            reg.histogram("flowsim.maxmin.rounds_per_call").count() - hist_before,
-            calls
-        );
-        let rounds = reg.counter("flowsim.maxmin.rounds").get() - rounds_before;
-        assert!(
-            rounds >= calls,
-            "each call must take ≥ 1 filling round, got {rounds} over {calls} calls"
-        );
-    }
+    assert_eq!(
+        reg.counter("flowsim.maxmin.calls").get() - calls_before,
+        calls
+    );
+    assert_eq!(
+        reg.histogram("flowsim.maxmin.rounds_per_call").count() - hist_before,
+        calls
+    );
+    let rounds = reg.counter("flowsim.maxmin.rounds").get() - rounds_before;
+    assert!(
+        rounds >= calls,
+        "each call must take ≥ 1 filling round, got {rounds} over {calls} calls"
+    );
 }
 
-/// The sim-level flow accounting matches its report: routed + unroutable
-/// counters advance by exactly the pair count.
+/// The sim-level flow accounting matches its report: the routed counter
+/// advances by exactly the pair count.
 #[test]
 fn simulator_flow_counters_match_report() {
     let _l = lock();
@@ -137,18 +131,12 @@ fn simulator_flow_counters_match_report() {
 
     let reg = dcn_telemetry::registry();
     let routed_before = reg.counter("flowsim.flows_routed").get();
-    let unroutable_before = reg.counter("flowsim.flows_unroutable").get();
 
     dcn_telemetry::set_enabled(true);
-    let live = dcn_telemetry::enabled();
     let report = FlowSim::new(&t).run(&pairs).expect("fault-free run");
     dcn_telemetry::set_enabled(false);
 
     assert_eq!(report.flows + report.unroutable, pairs.len());
-    if live {
-        let routed = reg.counter("flowsim.flows_routed").get() - routed_before;
-        let unroutable = reg.counter("flowsim.flows_unroutable").get() - unroutable_before;
-        assert_eq!(routed as usize, report.flows);
-        assert_eq!(unroutable as usize, report.unroutable);
-    }
+    let routed = reg.counter("flowsim.flows_routed").get() - routed_before;
+    assert_eq!(routed as usize, report.flows);
 }

@@ -87,26 +87,23 @@ fn counters_match_report() {
     let runs_before = reg.counter("packetsim.runs").get();
 
     dcn_telemetry::set_enabled(true);
-    let live = dcn_telemetry::enabled(); // false when built with `noop`
     let report = run_shuffle(64);
     dcn_telemetry::set_enabled(false);
 
-    if live {
-        assert_eq!(
-            reg.counter("packetsim.delivered").get() - delivered_before,
-            report.delivered
-        );
-        assert_eq!(
-            reg.counter("packetsim.dropped").get() - dropped_before,
-            report.dropped
-        );
-        assert_eq!(reg.counter("packetsim.runs").get() - runs_before, 1);
-        // Every delivered packet takes ≥ 1 event; drops may or may not.
-        let events = reg.counter("packetsim.events").get() - events_before;
-        assert!(
-            events >= report.delivered,
-            "events {events} < delivered {}",
-            report.delivered
-        );
-    }
+    assert_eq!(
+        reg.counter("packetsim.delivered").get() - delivered_before,
+        report.delivered
+    );
+    assert_eq!(
+        reg.counter("packetsim.dropped").get() - dropped_before,
+        report.dropped
+    );
+    assert_eq!(reg.counter("packetsim.runs").get() - runs_before, 1);
+    // Every delivered packet takes ≥ 1 event; drops may or may not.
+    let events = reg.counter("packetsim.events").get() - events_before;
+    assert!(
+        events >= report.delivered,
+        "events {events} < delivered {}",
+        report.delivered
+    );
 }

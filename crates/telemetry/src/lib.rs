@@ -46,7 +46,6 @@
 //! ## Example
 //!
 //! ```
-//! # #[cfg(not(feature = "noop"))] {
 //! dcn_telemetry::set_enabled(true);
 //! {
 //!     let _span = dcn_telemetry::span!("demo.work");
@@ -57,7 +56,6 @@
 //! assert_eq!(spans.len(), 1);
 //! assert_eq!(dcn_telemetry::counter!("demo.items").get(), 3);
 //! dcn_telemetry::set_enabled(false);
-//! # }
 //! ```
 
 #![forbid(unsafe_code)]
@@ -100,18 +98,9 @@ pub fn set_enabled(on: bool) {
 }
 
 /// Whether telemetry is currently recording.
-///
-/// Always `false` when the crate is built with the `noop` feature.
 #[inline(always)]
 pub fn enabled() -> bool {
-    #[cfg(feature = "noop")]
-    {
-        false
-    }
-    #[cfg(not(feature = "noop"))]
-    {
-        ENABLED.load(Ordering::Relaxed)
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// The process-wide metric registry.
@@ -198,7 +187,7 @@ pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-#[cfg(all(test, not(feature = "noop")))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -356,7 +356,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "noop"))]
     fn memory_section_records_peak_and_byte_gauges() {
         let _lock = crate::test_guard();
         crate::set_enabled(true);

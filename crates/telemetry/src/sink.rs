@@ -212,7 +212,7 @@ pub fn write_jsonl(
     f.write_all(events_to_jsonl(spans, metrics).as_bytes())
 }
 
-#[cfg(all(test, not(feature = "noop")))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -6,7 +6,7 @@
 //! generators produce such structured [`FaultMask`]s for the fault
 //! experiments.
 
-use netgraph::{FaultMask, FaultScenario, Network, NodeId};
+use netgraph::{FaultMask, FaultScenario, Network};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -65,13 +65,6 @@ pub fn fail_cable_bundle(net: &Network, count: usize, rng: &mut impl Rng) -> Fau
     let start = rng.gen_range(0..net.link_count() - count + 1);
     let bundle = (start..start + count).map(|l| netgraph::LinkId(l as u32));
     FaultScenario::seeded(0).fail_links(bundle).build(net)
-}
-
-/// Marks a set of servers down (maintenance window for an explicit list).
-pub fn fail_servers(net: &Network, servers: &[NodeId]) -> FaultMask {
-    FaultScenario::seeded(0)
-        .fail_nodes(servers.iter().copied())
-        .build(net)
 }
 
 #[cfg(test)]
@@ -134,14 +127,5 @@ mod tests {
         let mask = fail_cable_bundle(t.network(), 10, &mut rng);
         assert_eq!(mask.failed_link_count(), 10);
         assert_eq!(mask.failed_node_count(), 0);
-    }
-
-    #[test]
-    fn explicit_server_list() {
-        let (_, t) = setup();
-        let mask = fail_servers(t.network(), &[NodeId(1), NodeId(4)]);
-        assert!(!mask.node_alive(NodeId(1)));
-        assert!(!mask.node_alive(NodeId(4)));
-        assert!(mask.node_alive(NodeId(0)));
     }
 }

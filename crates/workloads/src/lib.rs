@@ -3,12 +3,13 @@
 //! Deterministic, seedable generators for the workloads the ABCCC
 //! evaluation runs: [`traffic`] produces `(src, dst)` flow sets (random
 //! permutation, all-to-all, incast, one-to-many, uniform random, bisection
-//! stress, MapReduce shuffle, elephant/mice), [`failures`] samples uniform
-//! [`netgraph::FaultMask`]s, [`correlated`] builds structured outages
-//! (rack loss, level loss, cable-bundle cuts), [`trace`] replays CSV
-//! flow traces, and [`scenarios`] builds production [`dcn_sim::Scenario`]
-//! values for the unified traffic engine (collectives, incast,
-//! storage-reconstruction storms, diurnal load with flash crowds).
+//! stress, MapReduce shuffle, elephant/mice), [`correlated`] builds
+//! structured outages (rack loss, level loss, cable-bundle cuts),
+//! [`trace`] replays CSV flow traces, and [`scenarios`] builds production
+//! [`dcn_sim::Scenario`] values for the unified traffic engine
+//! (collectives, incast, storage-reconstruction storms, diurnal load with
+//! flash crowds). Uniform failures are a seeded
+//! [`netgraph::FaultScenario`] chain.
 //!
 //! ```
 //! use rand::SeedableRng;
@@ -23,10 +24,8 @@
 #![warn(missing_docs)]
 
 pub mod correlated;
-pub mod failures;
 pub mod scenarios;
 pub mod trace;
 pub mod traffic;
 
-pub use failures::FailureScenario;
 pub use trace::TraceFlow;

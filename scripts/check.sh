@@ -18,8 +18,8 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo test -q"
 cargo test --workspace -q --offline
 
-echo "== telemetry noop build (feature-gated compile-out)"
-cargo check -q -p abccc-suite --features telemetry-noop --offline
+echo "== cargo doc (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== telemetry disabled-path overhead contract"
 cargo bench -q -p abccc-bench --bench telemetry_overhead --offline
